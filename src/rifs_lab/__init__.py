@@ -28,21 +28,11 @@ from .frame import (
     Frame,
     FrameDepthError,
     FrameError,
-    frame_entry_log2,
     frame_from_doc,
     minimal_frame,
     validate_frame,
 )
-from .numerics import (
-    DEFAULT_EXACT_BITS,
-    HybridNumber,
-    LogWeight,
-    hybrid_add,
-    hybrid_mul,
-    hybrid_pow3,
-    hybrid_sub,
-    log_sum_exp2,
-)
+from .numerics import DEFAULT_EXACT_BITS, HybridNumber
 from .pressure import (
     BoundCheck,
     BranchProfile,
@@ -63,7 +53,6 @@ from .rifs import (
     check_bowen_hypothesis,
     counterexample_ifs,
     load_spec,
-    spec_to_doc,
     validate_spec,
     zeta_probability,
     zeta_tail,
@@ -73,7 +62,6 @@ from .sampler import (
     RecordPair,
     RecordSequences,
     SceneryPath,
-    birkhoff_average,
     domination_start,
     record_sequences,
     sample_scenery,
@@ -96,7 +84,6 @@ __all__ = [
     "FrameError",
     "HybridNumber",
     "IFSDescriptor",
-    "LogWeight",
     "MapAggregate",
     "MauldinDomainError",
     "ProbVector",
@@ -108,7 +95,6 @@ __all__ = [
     "SpecialTime",
     "SpecValidationError",
     "UnboundedDimensionError",
-    "birkhoff_average",
     "bowen_parameter",
     "box_exponents",
     "build_branch_profile",
@@ -120,15 +106,9 @@ __all__ = [
     "emit_points",
     "enumerate_cylinders",
     "expected_log_fitness",
-    "frame_entry_log2",
     "frame_from_doc",
-    "hybrid_add",
-    "hybrid_mul",
-    "hybrid_pow3",
-    "hybrid_sub",
     "load_spec",
     "log_fitness",
-    "log_sum_exp2",
     "mauldin_dimension",
     "minimal_frame",
     "osc_check",
@@ -136,7 +116,6 @@ __all__ = [
     "refined_log_sum",
     "sample_scenery",
     "scenery_csv",
-    "spec_to_doc",
     "special_times",
     "subsequence_bound_check",
     "validate_frame",

@@ -142,27 +142,25 @@ def cmd_dimensions(args: argparse.Namespace) -> int:
 # -- counterexample -----------------------------------------------------------
 
 
-def _bound_rows(profile, result, t_grid):
+def _bound_rows(run: pressure.SeedRun) -> list[dict]:
     rows = []
-    for st in result.times:
-        for t in t_grid:
-            chk = pressure.subsequence_bound_check(profile, st, t)
-            m_dec = str(st.m.as_int()) if st.m.is_exact else repr(st.m.log2)
-            rows.append({
-                "n": st.n,
-                "record_pos": st.record_pos,
-                "record_symbol": st.record_symbol,
-                "j_before": (str(st.j_before.as_int()) if st.j_before.is_exact
-                             else repr(st.j_before.log2)),
-                "m": m_dec,
-                "m_form": "dec" if st.m.is_exact else "log2",
-                "t": t,
-                "exponent": chk.exponent,
-                "lhs": chk.lhs,
-                "bound_rhs": chk.rhs,
-                "holds": chk.holds,
-                "ratio": chk.ratio,
-            })
+    for st, t, chk in run.checks:
+        m_dec = str(st.m.as_int()) if st.m.is_exact else repr(st.m.log2)
+        rows.append({
+            "n": st.n,
+            "record_pos": st.record_pos,
+            "record_symbol": st.record_symbol,
+            "j_before": (str(st.j_before.as_int()) if st.j_before.is_exact
+                         else repr(st.j_before.log2)),
+            "m": m_dec,
+            "m_form": "dec" if st.m.is_exact else "log2",
+            "t": t,
+            "exponent": chk.exponent,
+            "lhs": chk.lhs,
+            "bound_rhs": chk.rhs,
+            "holds": chk.holds,
+            "ratio": chk.ratio,
+        })
     return rows
 
 
@@ -196,6 +194,10 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         return _fail("the counterexample experiment needs a frame-family config")
 
     t_grid = [float(t) for t in args.t_grid.split(",")] if args.t_grid else [0.0, 0.5, 1.0]
+    if args.horizon < 1 or args.pairs < 1:
+        return _fail("--horizon and --pairs must be >= 1")
+    if min(seeds) < 0 or min(t_grid) < 0:
+        return _fail("seeds and --t-grid values must be >= 0")
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,30 +210,24 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     for seed in seeds:
         record: dict = {"seed": seed}
         try:
-            path = sampler.sample_scenery(spec.probabilities, args.horizon, seed)
-            seqs = sampler.record_sequences(path, args.pairs)
-            prefix_len = max((p.position for p in seqs.pairs), default=1)
-            profile = pressure.build_branch_profile(
-                path.prefix(prefix_len), spec.frame, spec.d
-            )
-            result = pressure.special_times(profile, seqs)
-            rows = _bound_rows(profile, result, t_grid)
-            estimate = pressure.dim_upper_estimate(profile, seqs)
-        except Exception as exc:  # isolate per-seed failures
+            run = pressure.run_seed(spec, seed, args.horizon, args.pairs, t_grid)
+        # a symbol past the sampler's cap or the frame's representable depth
+        except (FrameError, sampler.RareTailError) as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"
             failed += 1
             per_seed.append(record)
             continue
+        rows = _bound_rows(run)
         record.update({
-            "pairs": len(seqs.pairs),
-            "degenerate": seqs.degenerate,
-            "truncated": seqs.truncated or result.truncated,
-            "estimate": estimate,
+            "pairs": len(run.seqs.pairs),
+            "degenerate": run.seqs.degenerate,
+            "truncated": run.seqs.truncated or run.result.truncated,
+            "estimate": run.estimate,
             "bound_violations": sum(1 for r in rows if not r["holds"]),
         })
         violations += record["bound_violations"]
         truncated_seeds += record["truncated"]
-        estimates.append(estimate)
+        estimates.append(run.estimate)
         per_seed.append(record)
         if out_dir is not None:
             (out_dir / f"seed_{seed}.csv").write_text(_rows_to_csv(rows))

@@ -14,16 +14,11 @@ level.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 from .numerics import HybridNumber
-
-#: Levels materialized eagerly by generated frames; also the horizon within
-#: which log2 magnitudes are guaranteed finite for the minimal rule.
-DEFAULT_DEPTH_CAP = 32
 
 
 class FrameError(ValueError):
@@ -72,15 +67,11 @@ class Frame:
         levels: Sequence[FrameLevel],
         rule: str = "explicit",
         slack: tuple[int, int] | None = None,
-        depth_cap: int = DEFAULT_DEPTH_CAP,
-        _validated: bool = True,
     ):
         self.rule = rule
         self.slack = slack
-        self.depth_cap = depth_cap
         self._levels: list[FrameLevel] = list(levels)
         self._lock = threading.Lock()
-        self._validated = _validated
 
     # -- construction ---------------------------------------------------
 
@@ -103,7 +94,7 @@ class Frame:
                 raise FrameError(
                     f"invalid frame: level {first.level}: {first.clause}: {first.detail}"
                 )
-        return cls(levels, rule="explicit", _validated=validate)
+        return cls(levels, rule="explicit")
 
     def __len__(self) -> int:
         return len(self._levels)
@@ -145,13 +136,6 @@ class Frame:
             ) from exc
         self._levels.append(FrameLevel(u, v))
 
-    def entry_log2(self, n: int) -> tuple[float, float]:
-        lvl = self.entry(n)
-        return (lvl.u.log2, lvl.v.log2)
-
-    def pairs(self) -> list[tuple[HybridNumber, HybridNumber]]:
-        return [(lvl.u, lvl.v) for lvl in self._levels]
-
     # -- serialization ------------------------------------------------------
 
     def to_doc(self) -> object:
@@ -170,12 +154,8 @@ class Frame:
             out.append([str(lvl.u.as_int()), str(lvl.v.as_int())])
         return out
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_doc())
 
-
-def minimal_frame(levels: int, slack: tuple[int, int] | None = None,
-                  depth_cap: int = DEFAULT_DEPTH_CAP) -> Frame:
+def minimal_frame(levels: int, slack: tuple[int, int] | None = None) -> Frame:
     """Frame with every axiom tight: U_1 = 1, V_n = n*U_n, U_{n+1} = (U_n+V_n)**3.
 
     The axioms only bound growth from below; taking them with equality keeps
@@ -187,7 +167,7 @@ def minimal_frame(levels: int, slack: tuple[int, int] | None = None,
     rule = "minimal" if slack in (None, (1, 1)) else "custom-slack"
     if slack is not None and (slack[0] < 1 or slack[1] < 1):
         raise FrameError("slack multipliers must be positive integers")
-    frame = Frame([], rule=rule, slack=slack, depth_cap=depth_cap)
+    frame = Frame([], rule=rule, slack=slack)
     frame.entry(levels)
     return frame
 
@@ -233,12 +213,7 @@ def validate_frame(pairs: Sequence[tuple[int, int]]) -> FrameReport:
     return FrameReport(not violations, tuple(violations))
 
 
-def frame_entry_log2(frame: Frame, n: int) -> tuple[float, float]:
-    """(log2 U_n, log2 V_n); exact to ~1 ulp while entries are exact."""
-    return frame.entry_log2(n)
-
-
-def frame_from_doc(doc: object, depth_cap: int = DEFAULT_DEPTH_CAP) -> Frame:
+def frame_from_doc(doc: object) -> Frame:
     """Parse the frame file format.
 
     Accepts either a JSON array of [U, V] decimal-string pairs or the
@@ -259,7 +234,7 @@ def frame_from_doc(doc: object, depth_cap: int = DEFAULT_DEPTH_CAP) -> Frame:
                     or not all(isinstance(x, int) and x >= 1 for x in raw)):
                 raise FrameError("'slack' must be a pair of positive integers")
             slack = (raw[0], raw[1])
-        return minimal_frame(levels, slack=slack, depth_cap=depth_cap)
+        return minimal_frame(levels, slack=slack)
     if isinstance(doc, list):
         pairs = []
         for i, item in enumerate(doc, start=1):
@@ -271,11 +246,3 @@ def frame_from_doc(doc: object, depth_cap: int = DEFAULT_DEPTH_CAP) -> Frame:
                 raise FrameError(f"level {i}: entries must be decimal integers") from exc
         return Frame.explicit(pairs)
     raise FrameError("frame document must be a list of pairs or a rule object")
-
-
-def frame_loads(text: str, depth_cap: int = DEFAULT_DEPTH_CAP) -> Frame:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FrameError(f"frame file is not valid JSON: {exc}") from exc
-    return frame_from_doc(doc, depth_cap=depth_cap)

@@ -142,6 +142,14 @@ class HybridNumber:
     # -- arithmetic ----------------------------------------------------
 
     def add(self, other: "HybridNumber", bits: int = DEFAULT_EXACT_BITS) -> "HybridNumber":
+        """Sum; exact while the result fits the threshold.
+
+        Mixed or promoted operands go through :func:`log2_add`; the log2 error
+        per operation is a few ulp of the log magnitude, which for magnitudes up
+        to about 2**12 keeps the relative value error at or below 2**-40.
+        Ordering is preserved exactly in the integer regime and to 1 ulp of the
+        log magnitude in the promoted regime.
+        """
         if self.is_zero:
             return other
         if other.is_zero:
@@ -178,6 +186,7 @@ class HybridNumber:
         return HybridNumber.from_log2(log2_sub(self.log2, other.log2))
 
     def pow3(self, bits: int = DEFAULT_EXACT_BITS) -> "HybridNumber":
+        """Cube; the log form simply triples the stored magnitude."""
         if self.is_zero:
             return _ZERO
         if self.exact is not None:
@@ -245,98 +254,15 @@ class HybridNumber:
 _ZERO = HybridNumber(0, -math.inf)
 
 ZERO = _ZERO
-ONE = HybridNumber(1, 0.0)
 
 
-def hybrid_from_int(n: int, bits: int = DEFAULT_EXACT_BITS) -> HybridNumber:
-    return HybridNumber.from_int(n, bits)
-
-
-def hybrid_add(a: HybridNumber, b: HybridNumber, bits: int = DEFAULT_EXACT_BITS) -> HybridNumber:
-    """Sum of two hybrid numbers; exact while the result fits the threshold.
-
-    Mixed or promoted operands go through :func:`log2_add`; the log2 error
-    per operation is a few ulp of the log magnitude, which for magnitudes up
-    to about 2**12 keeps the relative value error at or below 2**-40.
-    Ordering is preserved exactly in the integer regime and to 1 ulp of the
-    log magnitude in the promoted regime.
-    """
-    return a.add(b, bits)
-
-
-def hybrid_mul(a: HybridNumber, b: HybridNumber, bits: int = DEFAULT_EXACT_BITS) -> HybridNumber:
-    return a.mul(b, bits)
-
-
-def hybrid_sub(a: HybridNumber, b: HybridNumber, bits: int = DEFAULT_EXACT_BITS) -> HybridNumber:
-    return a.sub(b, bits)
-
-
-def hybrid_pow3(a: HybridNumber, bits: int = DEFAULT_EXACT_BITS) -> HybridNumber:
-    """Cube; the log form simply triples the stored magnitude."""
-    return a.pow3(bits)
-
-
-@dataclass(frozen=True)
-class LogWeight:
-    """Nonnegative weight carried as a log2 value; ``None`` encodes zero.
-
-    ``value`` round-trips ``of`` to float precision scaled by the ulp of the
-    stored log2: about one part in 2**51 per unit of |log2|.
-    """
-
-    log2: float | None
-
-    @classmethod
-    def zero(cls) -> "LogWeight":
-        return cls(None)
-
-    @classmethod
-    def from_log2(cls, l2: float) -> "LogWeight":
-        if math.isnan(l2):
-            raise ValueError("log2 value must not be NaN")
-        return cls(float(l2))
-
-    @classmethod
-    def of(cls, value: float) -> "LogWeight":
-        if value < 0:
-            raise ValueError("LogWeight is nonnegative")
-        if value == 0:
-            return cls(None)
-        return cls(math.log2(value))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log2 is None
-
-    @property
-    def value(self) -> float:
-        if self.log2 is None:
-            return 0.0
-        return 2.0 ** self.log2
-
-
-def log_sum_exp2(weights: Iterable[LogWeight]) -> LogWeight:
-    """log2 of the sum of ``2**w`` over the inputs; zero for an empty list.
+def log_sum_exp2_values(log2_values: Iterable[float]) -> float:
+    """log2 of the sum of ``2**x`` over the inputs; ``-inf`` for empty input.
 
     The sum is shifted by the maximum entry and accumulated left to right in
     input order, which fixes the rounding of ties and makes results
     reproducible across runs.
     """
-    logs = [w.log2 for w in weights if w.log2 is not None]
-    if not logs:
-        return LogWeight.zero()
-    peak = max(logs)
-    if math.isinf(peak):
-        return LogWeight.from_log2(peak)
-    total = 0.0
-    for l2 in logs:
-        total += 2.0 ** (l2 - peak)
-    return LogWeight.from_log2(peak + math.log2(total))
-
-
-def log_sum_exp2_values(log2_values: Iterable[float]) -> float:
-    """Plain-float variant of :func:`log_sum_exp2`; ``-inf`` for empty input."""
     logs = list(log2_values)
     if not logs:
         return -math.inf

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
+from . import sampler
 from .frame import Frame
 from .numerics import HybridNumber, ZERO, exp2_saturating
+from .rifs import RIFSSpec
 from .sampler import RecordSequences, SceneryPath
 
 _LN2 = math.log(2.0)
@@ -63,10 +66,6 @@ class BranchProfile:
     @property
     def run_count(self) -> int:
         return len(self.runs)
-
-    def coverage(self) -> HybridNumber:
-        """Total refined steps covered."""
-        return self.runs[-1].j_end if self.runs else ZERO
 
     def j_of_run(self, i: int) -> HybridNumber:
         """Cumulative schedule length after run i; j(0) = 0."""
@@ -231,15 +230,6 @@ class BoundCheck:
     ratio: float
     exponent: float  # d*B_m/m at this time
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "ratio": self.ratio if math.isfinite(self.ratio) else repr(self.ratio),
-            "exponent": self.exponent,
-        }
-
 
 def _log2_quotient(num: HybridNumber, den: HybridNumber) -> float:
     """num/den as a float via log2 space; 0.0 for a zero numerator."""
@@ -294,21 +284,47 @@ class InconclusiveEstimateError(RuntimeError):
     """No special time was computable at this horizon."""
 
 
-def dim_upper_estimate(profile: BranchProfile, seqs: RecordSequences,
-                       t_tol: float = 1e-9) -> float:
+def dim_upper_estimate(profile: BranchProfile, result: SpecialTimesResult) -> float:
     """Subsequence upper-bound estimate: min over special times of d*B_m/m.
 
     At each time m the normalized log sum (d*B_m/m - t) log 2 crosses zero
-    at exactly t = d*B_m/m, so the crossing exponent has a closed form and
-    ``t_tol`` only caps the reported precision (the result is well inside
-    it).  This is a finite-horizon proxy, exact along the special-time
+    at exactly t = d*B_m/m, so the crossing exponent has a closed form.
+    This is a finite-horizon proxy, exact along the special-time
     subsequence; it is an upper-bound witness, not a liminf.
     """
-    if t_tol <= 0:
-        raise ValueError("t_tol must be positive")
-    result = special_times(profile, seqs)
     if not result.times:
         raise InconclusiveEstimateError(
             "no special times: records outran the covered schedule"
         )
     return min(time_exponent(profile, st) for st in result.times)
+
+
+@dataclass(frozen=True, eq=False)
+class SeedRun:
+    """One seed taken through the whole per-seed pipeline."""
+
+    seqs: RecordSequences
+    profile: BranchProfile
+    result: SpecialTimesResult
+    checks: tuple[tuple[SpecialTime, float, BoundCheck], ...]  # per time, then per t
+    estimate: float
+
+
+def run_seed(spec: RIFSSpec, seed: int, horizon: int, pairs: int,
+             t_grid: Sequence[float]) -> SeedRun:
+    """Sample one scenery and evaluate the subsequence bound along it.
+
+    The profile unrolls the scenery only up to the last record position,
+    which is as far as any special time reads.  Raises
+    :class:`~rifs_lab.frame.FrameDepthError` or
+    :class:`~rifs_lab.sampler.RareTailError` for a seed whose symbols the
+    frame or the sampler cannot represent.
+    """
+    path = sampler.sample_scenery(spec.probabilities, horizon, seed)
+    seqs = sampler.record_sequences(path, pairs)
+    prefix_len = max((p.position for p in seqs.pairs), default=1)
+    profile = build_branch_profile(path.prefix(prefix_len), spec.frame, spec.d)
+    result = special_times(profile, seqs)
+    checks = tuple((st, t, subsequence_bound_check(profile, st, t))
+                   for st in result.times for t in t_grid)
+    return SeedRun(seqs, profile, result, checks, dim_upper_estimate(profile, result))

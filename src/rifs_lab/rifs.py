@@ -109,11 +109,6 @@ class ProbVector:
                     self._cdf = np.cumsum(1.0 / (INVERSE_SQUARE_C * k * k))
             return self._cdf[:n]
 
-    def to_doc(self) -> dict:
-        if self.kind == "finite":
-            return {"kind": "finite", "values": list(self.values)}
-        return {"kind": "inverse_square"}
-
 
 @dataclass(frozen=True)
 class MapAggregate:
@@ -219,18 +214,6 @@ class RIFSSpec:
             )
         return self.ifs[i - 1]
 
-    def similarity_exponent(self, i: int) -> float:
-        """d*V_i / (U_i + V_i) for frame families: the per-level exponent.
-
-        Lies in (0, d) and, for minimal frames where V_i = i*U_i, equals
-        d*i/(i+1), increasing to d.
-        """
-        if not self.is_frame_family:
-            raise SpecValidationError("similarity exponents are a frame-family notion")
-        desc = self.descriptor(i)
-        denom = desc.u.add(desc.v)
-        return self.d * (2.0 ** (desc.v.log2 - denom.log2))
-
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -297,7 +280,7 @@ def _count_label(desc: IFSDescriptor) -> str:
         return f"2^(d*V_{desc.level})"
 
 
-# -- config ingestion and serialization ------------------------------------
+# -- config ingestion -------------------------------------------------------
 
 
 def _default_eta(max_log2_ratio: float) -> float:
@@ -406,25 +389,6 @@ def validate_spec(doc: dict) -> RIFSSpec:
         return RIFSSpec(probabilities=probs, kind="frame", frame=frame, d=d, eta=eta)
 
     raise SpecValidationError(f"unknown family kind {fam_kind!r}")
-
-
-def spec_to_doc(spec: RIFSSpec) -> dict:
-    """Inverse of :func:`validate_spec`; round-trips all fields bit-exactly."""
-    doc: dict = {"probabilities": spec.probabilities.to_doc(), "eta": spec.eta}
-    if spec.kind == "explicit":
-        doc["family"] = {
-            "kind": "explicit",
-            "ifs": [
-                {"maps": [
-                    {"log2_ratio": a.log2_ratio, "multiplicity": a.multiplicity}
-                    for a in desc.aggregates
-                ]}
-                for desc in spec.ifs
-            ],
-        }
-    else:
-        doc["family"] = {"kind": "frame", "frame": spec.frame.to_doc(), "d": spec.d}
-    return doc
 
 
 def load_spec(text: str) -> RIFSSpec:

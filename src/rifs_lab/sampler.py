@@ -14,7 +14,6 @@ import io
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -63,14 +62,6 @@ class SceneryPath:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.symbols)
-
-    def symbol(self, i: int) -> int:
-        """1-indexed access."""
-        return int(self.symbols[i - 1])
 
     @cached_property
     def prefix_sums(self) -> np.ndarray:
@@ -203,14 +194,6 @@ def record_sequences(path: SceneryPath, count: int) -> RecordSequences:
     return RecordSequences(
         start=start, pairs=tuple(pairs), degenerate=degenerate, truncated=truncated
     )
-
-
-def birkhoff_average(path: SceneryPath, observable: Callable[[int], float]) -> np.ndarray:
-    """Prefix means (1/n) * sum(f(symbol_k) for k <= n) for n = 1..horizon."""
-    sym = path.symbols
-    uniq, inverse = np.unique(sym, return_inverse=True)
-    values = np.asarray([float(observable(int(s))) for s in uniq])[inverse]
-    return np.cumsum(values) / np.arange(1, len(sym) + 1)
 
 
 def scenery_csv(path: SceneryPath) -> str:

@@ -31,11 +31,9 @@ from rifs_lab import (
 )
 from rifs_lab.cover import enumerate_cylinders, step_flags
 from rifs_lab.pressure import (
-    dim_upper_estimate,
     ratio_floor_holds,
     refined_log_sum,
-    special_times,
-    subsequence_bound_check,
+    run_seed,
     time_exponent,
 )
 
@@ -118,27 +116,21 @@ def test_criterion_4_lemma_property_suite():
 
 def test_criterion_5_subsequence_bound():
     started = time.perf_counter()
-    probs = ProbVector("inverse_square")
-    frame = minimal_frame(5)
+    spec = validate_spec(frame_family_doc(levels=5, d=1))
     times_checked = 0
     floors_checked = 0
     for seed in range(600, 700):
-        path = sample_scenery(probs, 10_000, seed=seed)
-        seqs = record_sequences(path, 3)
-        prefix = max(p.position for p in seqs.pairs)
-        profile = build_branch_profile(path.prefix(prefix), frame, 1)
-        result = special_times(profile, seqs)
-        for st in result.times:
-            for t in (0.0, 0.5, 1.0):
-                chk = subsequence_bound_check(profile, st, t)
-                # the budget recomputed from the time's raw fields
-                jb_over_m = (0.0 if st.j_before.is_zero
-                             else 2.0 ** (st.j_before.log2 - st.m.log2))
-                assert chk.lhs <= -t * LN2 + jb_over_m * LN2 + 1e-12, (seed, st.n, t)
-                assert chk.holds, (seed, st.n, t)
-                times_checked += 1
+        run = run_seed(spec, seed, 10_000, 3, (0.0, 0.5, 1.0))
+        for st, t, chk in run.checks:
+            # the budget recomputed from the time's raw fields
+            jb_over_m = (0.0 if st.j_before.is_zero
+                         else 2.0 ** (st.j_before.log2 - st.m.log2))
+            assert chk.lhs <= -t * LN2 + jb_over_m * LN2 + 1e-12, (seed, st.n, t)
+            assert chk.holds, (seed, st.n, t)
+            times_checked += 1
+        for st in run.result.times:
             if st.n >= 2:
-                assert ratio_floor_holds(profile, st, frame), (seed, st.n)
+                assert ratio_floor_holds(run.profile, st, spec.frame), (seed, st.n)
                 floors_checked += 1
     assert times_checked >= 300
     assert floors_checked >= 20
@@ -154,14 +146,10 @@ def test_criterion_6_dimension_gap_at_desk_scale():
 
     estimates = {}
     for seed in range(600, 700):
-        path = sample_scenery(spec.probabilities, pinned["horizon"], seed=seed)
-        seqs = record_sequences(path, pinned["pairs"])
-        prefix = max(p.position for p in seqs.pairs)
-        profile = build_branch_profile(path.prefix(prefix), spec.frame, 1)
+        run = run_seed(spec, seed, pinned["horizon"], pinned["pairs"], ())
         estimates[seed] = {
-            "estimate": dim_upper_estimate(profile, seqs),
-            "exponents": [time_exponent(profile, st)
-                          for st in special_times(profile, seqs).times],
+            "estimate": run.estimate,
+            "exponents": [time_exponent(run.profile, st) for st in run.result.times],
         }
 
     below = sum(1 for v in estimates.values() if v["estimate"] < 0.2)

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from rifs_lab import pressure
 from rifs_lab.cli import main
 
 from conftest import frame_family_doc, two_ifs_doc
+
+D1_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "counterexample_d1.json")
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -132,6 +136,47 @@ class TestCounterexampleCommand:
         assert code == 0
         assert doc["bowen"] == 2.0
         assert doc["estimates"]["max"] < 0.4
+
+    def test_documented_faults_fail_only_their_seeds(self, capsys):
+        # seed 884 draws past the symbol cap; seed 891 needs frame level 647
+        code, doc = run_json(capsys, "counterexample", D1_CONFIG, "--seeds", "884:8",
+                             "--horizon", "10000", "--pairs", "3")
+        assert code == 1
+        assert doc["failed_seeds"] == 2
+        errors = {r["seed"]: r["error"] for r in doc["per_seed"] if "error" in r}
+        assert sorted(errors) == [884, 891]
+        assert errors[884].startswith("RareTailError")
+        assert errors[891].startswith("FrameDepthError")
+
+    def test_programming_error_is_not_a_failed_seed(self, capsys, monkeypatch):
+        def broken(profile, seqs):
+            raise TypeError("broken special times")
+
+        monkeypatch.setattr(pressure, "special_times", broken)
+        with pytest.raises(TypeError, match="broken special times"):
+            main(["counterexample", D1_CONFIG, "--seeds", "600:2", "--horizon", "2000"])
+
+    def test_special_times_once_per_completed_seed(self, capsys, monkeypatch):
+        calls = []
+        original = pressure.special_times
+
+        def counting(profile, seqs):
+            calls.append(profile)
+            return original(profile, seqs)
+
+        monkeypatch.setattr(pressure, "special_times", counting)
+        _, doc = run_json(capsys, "counterexample", D1_CONFIG, "--seeds", "600:20",
+                          "--horizon", "10000")
+        completed = doc["seeds"] - doc["failed_seeds"]
+        assert completed > 0
+        assert len(calls) == completed
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--horizon", "0"), ("--pairs", "0"), ("--t-grid", "0,-1"), ("--seed", "-1"),
+    ])
+    def test_out_of_range_arguments_rejected(self, capsys, flag, value):
+        code, doc = run_json(capsys, "counterexample", D1_CONFIG, flag, value)
+        assert code == 2 and "error" in doc
 
 
 class TestCoverCommand:

@@ -8,9 +8,7 @@ from rifs_lab.frame import (
     Frame,
     FrameDepthError,
     FrameError,
-    frame_entry_log2,
     frame_from_doc,
-    frame_loads,
     minimal_frame,
     validate_frame,
 )
@@ -114,19 +112,18 @@ class TestMinimalFrame:
 class TestEntryLog2:
     def test_levels_one_and_two(self):
         f = minimal_frame(3)
-        assert frame_entry_log2(f, 1) == (0.0, 0.0)
-        assert frame_entry_log2(f, 2) == (3.0, 4.0)
+        assert (f.entry(1).u.log2, f.entry(1).v.log2) == (0.0, 0.0)
+        assert (f.entry(2).u.log2, f.entry(2).v.log2) == (3.0, 4.0)
 
     def test_level_three(self):
         f = minimal_frame(3)
-        lu, lv = frame_entry_log2(f, 3)
-        assert lu == pytest.approx(13.754887502163468, abs=1e-12)
-        assert lv == pytest.approx(15.339850002884624, abs=1e-12)
+        assert f.entry(3).u.log2 == pytest.approx(13.754887502163468, abs=1e-12)
+        assert f.entry(3).v.log2 == pytest.approx(15.339850002884624, abs=1e-12)
 
     def test_out_of_range_explicit(self):
         f = Frame.explicit([(1, 1), (8, 16)])
         with pytest.raises(FrameDepthError):
-            frame_entry_log2(f, 3)
+            f.entry(3)
 
 
 class TestConcurrentExtension:
@@ -154,9 +151,9 @@ class TestPromotedLevelAxioms:
         # beyond the exact range the axioms hold with equality by construction
         frame = minimal_frame(2)
         for n in range(8, 30):
-            lu, lv = frame.entry_log2(n)
+            lu, lv = frame.entry(n).u.log2, frame.entry(n).v.log2
             assert lv == pytest.approx(lu + __import__("math").log2(n), rel=1e-12)
-            lu_next, _ = frame.entry_log2(n + 1)
+            lu_next = frame.entry(n + 1).u.log2
             both = frame.entry(n).u.add(frame.entry(n).v)
             assert lu_next == pytest.approx(3.0 * both.log2, rel=1e-12)
 
@@ -189,10 +186,6 @@ class TestSerialization:
         f = minimal_frame(3, slack=(2, 1))
         g = frame_from_doc(f.to_doc())
         assert g.entry(3).u.as_int() == f.entry(3).u.as_int()
-
-    def test_loads_rejects_bad_json(self):
-        with pytest.raises(FrameError):
-            frame_loads("{not json")
 
     def test_from_doc_rejects_invalid_pairs(self):
         with pytest.raises(FrameError):

@@ -8,7 +8,6 @@ from rifs_lab import (
     HybridNumber,
     SceneryPath,
     build_branch_profile,
-    sample_scenery,
 )
 from rifs_lab.pressure import (
     CoverageError,
@@ -17,6 +16,7 @@ from rifs_lab.pressure import (
     dim_upper_estimate,
     ratio_floor_holds,
     refined_log_sum,
+    run_seed,
     special_times,
     subsequence_bound_check,
     time_exponent,
@@ -156,14 +156,10 @@ class TestSpecialTimes:
         assert result.times[1].j_before.as_int() == 26
         assert result.times[1].m.as_int() == 26 + 13824
 
-    def test_times_strictly_increase(self, inverse_square, frame5):
+    def test_times_strictly_increase(self, frame_family_spec):
         for seed in range(40):
-            path = sample_scenery(inverse_square, 5000, seed=seed)
-            seqs = record_sequences(path, 3)
-            prefix = max(p.position for p in seqs.pairs)
-            profile = build_branch_profile(path.prefix(prefix), frame5, 1)
-            result = special_times(profile, seqs)
-            ms = [st.m for st in result.times]
+            run = run_seed(frame_family_spec, seed, 5000, 3, ())
+            ms = [st.m for st in run.result.times]
             assert all(a < b for a, b in zip(ms, ms[1:]))
 
     def test_truncation_flag_when_profile_short(self, frame5):
@@ -189,40 +185,30 @@ class TestSubsequenceBound:
             assert chk.lhs == chk.rhs == pytest.approx(-t * LN2, abs=1e-15)
             assert chk.holds and chk.ratio == math.inf
 
-    def test_holds_across_seeds_and_exponents(self, inverse_square, frame5):
+    def test_holds_across_seeds_and_exponents(self, frame_family_spec):
         # quantified property: 100 seeds x all special times x 3 exponents
         for seed in range(600, 700):
-            path = sample_scenery(inverse_square, 10_000, seed=seed)
-            seqs = record_sequences(path, 3)
-            prefix = max(p.position for p in seqs.pairs)
-            profile = build_branch_profile(path.prefix(prefix), frame5, 1)
-            for st in special_times(profile, seqs).times:
-                for t in (0.0, 0.5, 1.0):
-                    chk = subsequence_bound_check(profile, st, t)
-                    assert chk.holds, (seed, st.n, t)
+            run = run_seed(frame_family_spec, seed, 10_000, 3, (0.0, 0.5, 1.0))
+            assert len(run.checks) == 3 * len(run.result.times)
+            for st, t, chk in run.checks:
+                assert chk.holds, (seed, st.n, t)
 
-    def test_branch_total_bounded_by_prefix_length(self, inverse_square, frame5):
+    def test_branch_total_bounded_by_prefix_length(self, frame_family_spec):
         # at special times B_m counts a subset of the j_before steps
         for seed in range(40):
-            path = sample_scenery(inverse_square, 5000, seed=seed)
-            seqs = record_sequences(path, 2)
-            prefix = max(p.position for p in seqs.pairs)
-            profile = build_branch_profile(path.prefix(prefix), frame5, 1)
-            for st in special_times(profile, seqs).times:
-                bm = profile.branch_upto_run(st.record_pos - 1)
+            run = run_seed(frame_family_spec, seed, 5000, 2, ())
+            for st in run.result.times:
+                bm = run.profile.branch_upto_run(st.record_pos - 1)
                 assert bm <= st.j_before or st.j_before.is_zero
 
-    def test_ratio_floor_holds_exactly(self, inverse_square, frame5):
+    def test_ratio_floor_holds_exactly(self, frame_family_spec):
         # records past the first: U_record / j_before >= V_{record-1} / 2
         checked = 0
         for seed in range(600, 700):
-            path = sample_scenery(inverse_square, 10_000, seed=seed)
-            seqs = record_sequences(path, 3)
-            prefix = max(p.position for p in seqs.pairs)
-            profile = build_branch_profile(path.prefix(prefix), frame5, 1)
-            for st in special_times(profile, seqs).times:
+            run = run_seed(frame_family_spec, seed, 10_000, 3, ())
+            for st in run.result.times:
                 if st.n >= 2:
-                    assert ratio_floor_holds(profile, st, frame5)
+                    assert ratio_floor_holds(run.profile, st, frame_family_spec.frame)
                     checked += 1
         assert checked > 30
 
@@ -242,18 +228,15 @@ class TestSubsequenceBound:
         assert subsequence_bound_check(d1, st1, 0.5).holds
         assert not subsequence_bound_check(d2, st2, 0.5).holds
 
-    def test_zero_exponent_bound_via_branch_ratio(self, inverse_square, frame5):
+    def test_zero_exponent_bound_via_branch_ratio(self, frame_family_spec):
         # (1/m) log-sum at t=0, normalized by d log 2, is at most 2/V_{record-1}
         for seed in range(600, 650):
-            path = sample_scenery(inverse_square, 10_000, seed=seed)
-            seqs = record_sequences(path, 2)
-            prefix = max(p.position for p in seqs.pairs)
-            profile = build_branch_profile(path.prefix(prefix), frame5, 1)
-            for st in special_times(profile, seqs).times:
+            run = run_seed(frame_family_spec, seed, 10_000, 2, ())
+            for st in run.result.times:
                 if st.n < 2:
                     continue
-                e = time_exponent(profile, st) / profile.d
-                v_prev = frame5.entry(st.record_symbol - 1).v
+                e = time_exponent(run.profile, st) / run.profile.d
+                v_prev = frame_family_spec.frame.entry(st.record_symbol - 1).v
                 assert e <= 2.0 * 2.0 ** -v_prev.log2 + 1e-15
 
 
@@ -262,7 +245,7 @@ class TestDimUpperEstimate:
         path = path_of(4, 1, 1)
         profile = build_branch_profile(path, frame5, 1)
         seqs = record_sequences(path, 1)
-        assert dim_upper_estimate(profile, seqs) == 0.0
+        assert dim_upper_estimate(profile, special_times(profile, seqs)) == 0.0
 
     def test_synthetic_late_first_record(self, frame5):
         # record at position 3 with symbol 3 after a (1, 2) prefix:
@@ -273,17 +256,13 @@ class TestDimUpperEstimate:
             degenerate=False, truncated=False,
         )
         profile = build_branch_profile(path, frame5, 1)
-        est = dim_upper_estimate(profile, seqs)
+        est = dim_upper_estimate(profile, special_times(profile, seqs))
         assert 0.0 < est <= 26.0 / (26.0 + 13824.0)
         assert est == pytest.approx(17.0 / (26.0 + 13824.0), rel=1e-12)
 
-    def test_estimate_within_unit_interval(self, inverse_square, frame5):
+    def test_estimate_within_unit_interval(self, frame_family_spec):
         for seed in range(40):
-            path = sample_scenery(inverse_square, 5000, seed=seed)
-            seqs = record_sequences(path, 2)
-            prefix = max(p.position for p in seqs.pairs)
-            profile = build_branch_profile(path.prefix(prefix), frame5, 1)
-            assert 0.0 <= dim_upper_estimate(profile, seqs) <= 1.0
+            assert 0.0 <= run_seed(frame_family_spec, seed, 5000, 2, ()).estimate <= 1.0
 
     def test_inconclusive_without_times(self, frame5):
         profile = build_branch_profile(path_of(1,), frame5, 1)
@@ -292,11 +271,4 @@ class TestDimUpperEstimate:
             degenerate=False, truncated=False,
         )
         with pytest.raises(InconclusiveEstimateError):
-            dim_upper_estimate(profile, seqs)
-
-    def test_rejects_nonpositive_tolerance(self, frame5):
-        path = path_of(1,)
-        profile = build_branch_profile(path, frame5, 1)
-        seqs = record_sequences(path, 1)
-        with pytest.raises(ValueError):
-            dim_upper_estimate(profile, seqs, t_tol=0.0)
+            dim_upper_estimate(profile, special_times(profile, seqs))

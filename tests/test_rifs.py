@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath
@@ -10,14 +9,12 @@ from rifs_lab import (
     check_bowen_hypothesis,
     counterexample_ifs,
     load_spec,
-    minimal_frame,
-    spec_to_doc,
     validate_spec,
     zeta_probability,
     zeta_tail,
 )
 
-from conftest import frame_family_doc, two_ifs_doc
+from conftest import two_ifs_doc
 
 
 class TestZetaProbability:
@@ -138,38 +135,9 @@ class TestValidateSpec:
 
 
 class TestSerializationRoundTrip:
-    def test_explicit_bit_exact(self, two_ifs_spec):
-        doc = spec_to_doc(two_ifs_spec)
-        again = validate_spec(json.loads(json.dumps(doc)))
-        assert again.eta == two_ifs_spec.eta
-        assert again.probabilities.values == two_ifs_spec.probabilities.values
-        for a, b in zip(again.ifs, two_ifs_spec.ifs):
-            assert a.aggregates == b.aggregates
-
-    def test_frame_family_round_trip(self, frame_family_spec):
-        doc = spec_to_doc(frame_family_spec)
-        again = validate_spec(json.loads(json.dumps(doc)))
-        assert again.d == frame_family_spec.d
-        assert again.eta == frame_family_spec.eta
-        assert len(again.frame) == len(frame_family_spec.frame)
-
     def test_load_spec_rejects_bad_json(self):
         with pytest.raises(SpecValidationError):
             load_spec("{oops")
-
-
-class TestSimilarityExponent:
-    def test_monotone_to_d_on_minimal_frames(self, frame_family_spec):
-        # d*V_i/(U_i+V_i) = d*i/(i+1) for the tight rule
-        exps = [frame_family_spec.similarity_exponent(i) for i in range(1, 6)]
-        assert all(0.0 < e < 1.0 for e in exps)
-        assert exps == sorted(exps)
-        for i, e in enumerate(exps, start=1):
-            assert e == pytest.approx(i / (i + 1), rel=1e-12)
-
-    def test_d_two(self):
-        spec = validate_spec(frame_family_doc(levels=4, d=2))
-        assert spec.similarity_exponent(3) == pytest.approx(2 * 3 / 4, rel=1e-12)
 
 
 class TestHypothesisCheck:

@@ -8,7 +8,6 @@ from rifs_lab import (
     ProbVector,
     RareTailError,
     SceneryPath,
-    birkhoff_average,
     domination_start,
     record_sequences,
     sample_scenery,
@@ -128,38 +127,6 @@ class TestRecordSequences:
             path = sample_scenery(inverse_square, 2000, seed=seed)
             seqs = record_sequences(path, 3)
             independent_record_check(path.symbols, seqs)
-
-
-class TestBirkhoffAverage:
-    def test_constant_observable(self, inverse_square):
-        path = sample_scenery(inverse_square, 100, seed=9)
-        means = birkhoff_average(path, lambda s: 1.0)
-        assert means == pytest.approx(np.ones(100))
-
-    def test_identity_prefix_means(self, inverse_square):
-        path = sample_scenery(inverse_square, 500, seed=10)
-        means = birkhoff_average(path, float)
-        assert means == pytest.approx(path.prefix_sums / np.arange(1, 501))
-
-    def test_truncated_fitness_matches_count_weighted_average(self, frame_family_spec):
-        # fixed recorded path; observable is the per-level log fitness,
-        # truncated to the first M levels
-        from rifs_lab import log_fitness
-
-        M = 6
-        path = sample_scenery(frame_family_spec.probabilities, 200, seed=77)
-
-        def obs(sym: int) -> float:
-            if sym > M:
-                return 0.0
-            return log_fitness(frame_family_spec.descriptor(sym), 0.5)
-
-        means = birkhoff_average(path, obs)
-        from collections import Counter
-
-        counts = Counter(int(s) for s in path.symbols)
-        direct = sum(c * obs(s) for s, c in counts.items()) / 200
-        assert means[-1] == pytest.approx(direct, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
