@@ -56,6 +56,14 @@ def _parse_seeds(args: argparse.Namespace) -> list[int]:
     return [args.seed]
 
 
+def _parse_list(text: str, kind: type, flag: str) -> list:
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise SpecValidationError(
+            f"{flag} expects comma-separated {kind.__name__} values, got {text!r}")
+
+
 # -- frame -----------------------------------------------------------------
 
 
@@ -188,12 +196,13 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     try:
         spec = load_spec(Path(args.config).read_text())
         seeds = _parse_seeds(args)
+        t_grid = _parse_list(args.t_grid, float, "--t-grid") if args.t_grid else [0.0, 0.5, 1.0]
+        sampler.max_symbol_cap()  # a malformed cap fails the command, not each seed
     except (SpecValidationError, FrameError, OSError) as exc:
         return _fail(str(exc))
     if not spec.is_frame_family:
         return _fail("the counterexample experiment needs a frame-family config")
 
-    t_grid = [float(t) for t in args.t_grid.split(",")] if args.t_grid else [0.0, 0.5, 1.0]
     if args.horizon < 1 or args.pairs < 1:
         return _fail("--horizon and --pairs must be >= 1")
     if min(seeds) < 0 or min(t_grid) < 0:
@@ -258,7 +267,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _profile_from_args(args: argparse.Namespace):
-    symbols = [int(s) for s in args.symbols.split(",")]
+    symbols = _parse_list(args.symbols, int, "--symbols")
     if any(s < 1 for s in symbols):
         raise SpecValidationError("symbols are positive integers")
     if args.frame:
@@ -278,7 +287,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         return _fail(str(exc))
 
     if args.cover_cmd == "exponents":
-        depths = [int(m) for m in args.depths.split(",")]
+        depths = _parse_list(args.depths, int, "--depths")
         try:
             pairs = cover.box_exponents(profile, depths)
         except pressure.CoverageError as exc:
@@ -324,6 +333,8 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.horizon < 1 or args.seed < 0:
+        return _fail("--horizon must be >= 1 and --seed >= 0")
     try:
         if args.config:
             spec = load_spec(Path(args.config).read_text())

@@ -55,8 +55,11 @@ class ProbVector:
     """Probability vector over symbols 1, 2, ...
 
     Either a finite list or the inverse-square law p_n = 1/(C n^2).  The
-    prefix CDF is cached and recomputed from scratch on growth so its values
-    are a deterministic function of the requested length alone.
+    prefix CDF is cached and grown by extension: only the new terms are
+    computed and accumulated onto the cached last value.  The cumulative sum
+    runs strictly left to right, so the values are bit-identical to a
+    one-shot cumsum and a deterministic function of the requested length
+    alone.
     """
 
     def __init__(self, kind: str, values: tuple[float, ...] | None = None):
@@ -105,8 +108,12 @@ class ProbVector:
                 if self.kind == "finite":
                     self._cdf = np.cumsum(np.asarray(self.values, dtype=np.float64))
                 else:
-                    k = np.arange(1, n + 1, dtype=np.float64)
-                    self._cdf = np.cumsum(1.0 / (INVERSE_SQUARE_C * k * k))
+                    old = np.zeros(0) if self._cdf is None else self._cdf
+                    k = np.arange(len(old) + 1, n + 1, dtype=np.float64)
+                    terms = 1.0 / (INVERSE_SQUARE_C * k * k)
+                    if len(old):
+                        terms[0] += old[-1]
+                    self._cdf = np.concatenate([old, np.cumsum(terms)])
             return self._cdf[:n]
 
 

@@ -4,8 +4,16 @@ Sceneries are i.i.d. symbol sequences drawn by inverse CDF from a
 :class:`~rifs_lab.rifs.ProbVector`.  Sampling is a pure function of
 (seed, probabilities, length): the PCG64 stream is fixed by the seed and the
 CDF is a deterministic function of its length, so regeneration is
-bit-identical.  Tail draws past the symbol cap abort loudly instead of
-being approximated.
+bit-identical.
+
+Every one of the ``length`` uniforms is drawn up front, but a draw is
+inverted to its symbol only when a reader asks for a prefix that reaches
+it: the record recursion reads a few thousand symbols of a horizon-1e6
+scenery, so most draws are never inverted.  The tail rule still needs all
+of them.  A scenery whose largest draw lies beyond the CDF of the symbol
+cap aborts loudly with :class:`RareTailError` instead of being
+approximated, wherever in the horizon that draw falls, so whether a seed
+fails does not depend on how far its windows read.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rifs import ProbVector, zeta_tail
+from .rifs import ProbVector, SpecValidationError, zeta_tail
 
 #: Hard ceiling on sampled symbols; overridable via RIFS_LAB_MAX_SYMBOL.
 DEFAULT_MAX_SYMBOL = 10 ** 6
@@ -44,24 +52,65 @@ def max_symbol_cap() -> int:
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise ValueError(f"RIFS_LAB_MAX_SYMBOL must be an integer, got {raw!r}") from exc
+        raise SpecValidationError(
+            f"RIFS_LAB_MAX_SYMBOL must be an integer, got {raw!r}") from exc
     if cap < 1:
-        raise ValueError("RIFS_LAB_MAX_SYMBOL must be positive")
+        raise SpecValidationError("RIFS_LAB_MAX_SYMBOL must be positive")
     return cap
 
 
-@dataclass(frozen=True, eq=False)
+def _invert(draws: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Symbols of ``draws`` under ``cdf``, read-only.
+
+    A draw past the accumulated total (possible when a finite vector sums
+    to 1 - epsilon) collapses onto the last symbol; a covering CDF of the
+    inverse-square law never needs the clamp.
+    """
+    symbols = np.minimum(np.searchsorted(cdf, draws, side="left") + 1, len(cdf))
+    symbols = symbols.astype(np.int64, copy=False)
+    symbols.setflags(write=False)
+    return symbols
+
+
 class SceneryPath:
-    """Finite prefix of a sampled scenery with its seed provenance."""
+    """Finite prefix of a scenery (int64 symbols >= 1) with its seed provenance.
 
-    symbols: np.ndarray  # int64, values >= 1
-    seed: int
+    Built from explicit symbols, or by :func:`sample_scenery` from uniform
+    draws and a CDF that covers all of them.  In the second case the leading
+    draws are inverted on demand, growing by doubling, so reading a prefix
+    of ``k`` symbols inverts at most ``2k`` draws.  Symbol arrays handed out
+    are read-only.
+    """
 
-    def __post_init__(self):
-        self.symbols.setflags(write=False)
+    def __init__(self, symbols: np.ndarray, seed: int):
+        if len(symbols) and symbols.min() < 1:
+            raise ValueError("scenery symbols must be >= 1")
+        symbols.setflags(write=False)
+        self.seed = seed
+        self._head = symbols
+        self._length = len(symbols)
+        self._draws: np.ndarray | None = None
+        self._cdf: np.ndarray | None = None
+
+    @classmethod
+    def from_draws(cls, draws: np.ndarray, cdf: np.ndarray, seed: int) -> "SceneryPath":
+        path = cls(np.empty(0, dtype=np.int64), seed)
+        path._draws, path._cdf, path._length = draws, cdf, len(draws)
+        return path
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return self._length
+
+    def head(self, k: int) -> np.ndarray:
+        """The first ``k`` symbols, inverting more draws if needed."""
+        if len(self._head) < min(k, len(self)):
+            n = min(len(self), max(k, 2 * len(self._head)))
+            self._head = _invert(self._draws[:n], self._cdf)
+        return self._head[:k]
+
+    @property
+    def symbols(self) -> np.ndarray:
+        return self.head(len(self))
 
     @cached_property
     def prefix_sums(self) -> np.ndarray:
@@ -69,12 +118,12 @@ class SceneryPath:
 
     @cached_property
     def prefix_means(self) -> np.ndarray:
-        return self.prefix_sums / np.arange(1, len(self.symbols) + 1)
+        return self.prefix_sums / np.arange(1, len(self) + 1)
 
     def prefix(self, k: int) -> "SceneryPath":
-        if not 1 <= k <= len(self.symbols):
-            raise ValueError(f"prefix length {k} outside 1..{len(self.symbols)}")
-        return SceneryPath(self.symbols[:k], self.seed)
+        if not 1 <= k <= len(self):
+            raise ValueError(f"prefix length {k} outside 1..{len(self)}")
+        return SceneryPath(self.head(k), self.seed)
 
 
 def sample_scenery(
@@ -83,12 +132,13 @@ def sample_scenery(
     seed: int,
     max_symbol: int | None = None,
 ) -> SceneryPath:
-    """Draw ``length`` i.i.d. symbols by inverse CDF.
+    """Draw a scenery of ``length`` i.i.d. symbols by inverse CDF.
 
     For the inverse-square vector the prefix CDF is extended by doubling
     until it covers the largest uniform variate in the batch; a draw that
     would need a symbol past the cap raises :class:`RareTailError` naming
-    the variate.
+    the variate.  Every uniform is drawn here; the returned path inverts
+    them to symbols on demand.
     """
     if length < 1:
         raise ValueError("scenery length must be >= 1")
@@ -98,10 +148,6 @@ def sample_scenery(
 
     if probs.is_finite:
         cdf = probs.prefix_cdf(len(probs.values))
-        # Draws past the accumulated total (possible when the vector sums to
-        # 1 - epsilon) collapse onto the last symbol.
-        symbols = np.searchsorted(cdf, u, side="left") + 1
-        symbols = np.minimum(symbols, len(cdf))
     else:
         umax = float(u.max())
         n = min(_CDF_START, cap)
@@ -112,8 +158,7 @@ def sample_scenery(
             if n >= cap:
                 raise RareTailError(umax, cap)
             n = min(2 * n, cap)
-        symbols = np.searchsorted(cdf, u, side="left") + 1
-    return SceneryPath(symbols.astype(np.int64), seed)
+    return SceneryPath.from_draws(u, cdf, seed)
 
 
 def domination_start(path: SceneryPath) -> int:
@@ -172,9 +217,10 @@ def record_sequences(path: SceneryPath, count: int) -> RecordSequences:
     next window = symbol at the record + 1."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    start = domination_start(path)
-    sym = path.symbols
-    horizon = len(sym)
+    # symbols >= 1 make every prefix sum dominate its length: domination_start
+    # is 1, and the recursion reads the path only up to each window
+    start = 1
+    horizon = len(path)
     pairs: list[RecordPair] = []
     a = start
     prev_b = 0
@@ -183,8 +229,9 @@ def record_sequences(path: SceneryPath, count: int) -> RecordSequences:
         if a > horizon:
             truncated = True
             break
-        b = int(np.argmax(sym[:a])) + 1
-        value = int(sym[b - 1])
+        window = path.head(a)
+        b = int(np.argmax(window)) + 1
+        value = int(window[b - 1])
         if b <= prev_b or value < a:
             degenerate = True
             break

@@ -173,10 +173,16 @@ class TestCounterexampleCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--horizon", "0"), ("--pairs", "0"), ("--t-grid", "0,-1"), ("--seed", "-1"),
+        ("--t-grid", "a"),
     ])
     def test_out_of_range_arguments_rejected(self, capsys, flag, value):
         code, doc = run_json(capsys, "counterexample", D1_CONFIG, flag, value)
         assert code == 2 and "error" in doc
+
+    def test_malformed_symbol_cap_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", "abc")
+        code, doc = run_json(capsys, "counterexample", D1_CONFIG, "--seeds", "600:2")
+        assert code == 2 and "RIFS_LAB_MAX_SYMBOL" in doc["error"]
 
 
 class TestCoverCommand:
@@ -194,6 +200,14 @@ class TestCoverCommand:
                              "--budget", "16")
         assert code != 0
         assert doc["required_budget"] == 2 ** 32
+
+    @pytest.mark.parametrize("argv", [
+        ["enum", "--symbols", "1,x", "--depth", "2"],
+        ["exponents", "--symbols", "1,2", "--depths", "a"],
+    ])
+    def test_malformed_integer_lists_rejected(self, capsys, argv):
+        code, doc = run_json(capsys, "cover", *argv)
+        assert code == 2 and "comma-separated int" in doc["error"]
 
     def test_points_csv(self, capsys):
         code, out = run(capsys, "cover", "points", "--symbols", "1,1",
@@ -228,6 +242,16 @@ class TestSampleCommand:
                           "--out", str(target))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_malformed_symbol_cap_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", "abc")
+        code, doc = run_json(capsys, "sample")
+        assert code == 2 and "RIFS_LAB_MAX_SYMBOL" in doc["error"]
+
+    @pytest.mark.parametrize("flag, value", [("--horizon", "0"), ("--seed", "-1")])
+    def test_out_of_range_arguments_rejected(self, capsys, flag, value):
+        code, doc = run_json(capsys, "sample", flag, value)
+        assert code == 2 and "error" in doc
 
     def test_config_probabilities(self, capsys, two_ifs_path):
         code, out = run(capsys, "sample", two_ifs_path, "--seed", "5",

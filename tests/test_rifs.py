@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from rifs_lab import (
@@ -9,12 +10,15 @@ from rifs_lab import (
     check_bowen_hypothesis,
     counterexample_ifs,
     load_spec,
+    sample_scenery,
+    scenery_csv,
     validate_spec,
     zeta_probability,
     zeta_tail,
 )
+from rifs_lab.rifs import INVERSE_SQUARE_C
 
-from conftest import two_ifs_doc
+from conftest import DATA, two_ifs_doc
 
 
 class TestZetaProbability:
@@ -58,6 +62,14 @@ class TestProbVector:
         first = pv.prefix_cdf(1000).copy()
         pv.prefix_cdf(50_000)
         assert (pv.prefix_cdf(1000) == first).all()
+
+    def test_cdf_grown_by_extension_equals_one_shot(self):
+        pv = ProbVector("inverse_square")
+        for n in (1024, 3000, 2 ** 20, 10 ** 6):
+            k = np.arange(1, n + 1, dtype=np.float64)
+            assert np.array_equal(pv.prefix_cdf(n), np.cumsum(1.0 / (INVERSE_SQUARE_C * k * k)))
+        golden = (DATA / "scenery_seed42_len10.csv").read_text()
+        assert scenery_csv(sample_scenery(pv, 10, seed=42)) == golden
 
     def test_inverse_square_probabilities(self):
         pv = ProbVector("inverse_square")

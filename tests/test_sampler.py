@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rifs_lab import sampler
 from rifs_lab import (
     ProbVector,
     RareTailError,
@@ -70,10 +71,85 @@ class TestSampling:
             sample_scenery(inverse_square, 100, seed=0)
         assert err.value.cap == 17
 
-    def test_symbols_are_read_only(self, inverse_square):
+    def test_symbols_are_read_only(self, inverse_square, inversions):
         path = sample_scenery(inverse_square, 10, seed=1)
         with pytest.raises(ValueError):
+            path.head(3)[0] = 99
+        assert inversions == [3]
+        with pytest.raises(ValueError):
+            path.prefix(5).symbols[0] = 99
+        with pytest.raises(ValueError):
             path.symbols[0] = 99
+
+
+@pytest.fixture
+def inversions(monkeypatch) -> list[int]:
+    """The number of draws of every inversion from now on."""
+    sizes: list[int] = []
+    invert = sampler._invert
+
+    def spy(draws, cdf):
+        sizes.append(len(draws))
+        return invert(draws, cdf)
+
+    monkeypatch.setattr(sampler, "_invert", spy)
+    return sizes
+
+
+def spy_head(path: SceneryPath) -> list[int]:
+    """Record the prefix length of every ``path.head`` call from now on."""
+    reads: list[int] = []
+    head = path.head
+
+    def spy(k):
+        reads.append(k)
+        return head(k)
+
+    path.head = spy
+    return reads
+
+
+class TestLazyInversion:
+    def test_lazy_path_matches_full_inversion(self, inverse_square):
+        checked = 0
+        for seed in range(200):
+            try:
+                lazy = sample_scenery(inverse_square, 100_000, seed=seed)
+            except RareTailError:
+                continue
+            seqs = record_sequences(lazy, 3)
+            last = max((p.position for p in seqs.pairs), default=1)
+            head = lazy.prefix(last).symbols
+            full = SceneryPath(sample_scenery(inverse_square, 100_000, seed=seed).symbols, seed)
+            assert record_sequences(full, 3) == seqs
+            assert (full.prefix(last).symbols == head).all()
+            checked += 1
+        assert checked >= 180
+
+    def test_record_recursion_inverts_only_what_it_reads(self, inverse_square, inversions):
+        for seed in (2, 3):
+            path = sample_scenery(inverse_square, 1_000_000, seed=seed)
+            reads = spy_head(path)
+            inversions.clear()
+            record_sequences(path, 3)
+            assert reads and max(reads) < 1000
+            assert inversions and max(inversions) <= 2 * max(reads)
+
+    def test_rare_tail_beyond_every_window_read(self, inverse_square, monkeypatch):
+        # seed 4 at horizon 1e4: the recursion reads 27 symbols, while the only
+        # draw past symbol 1000 sits at position 4977
+        path = sample_scenery(inverse_square, 10_000, seed=4)
+        reads = spy_head(path)
+        record_sequences(path, 3)
+        read = max(reads)
+        over = np.flatnonzero(path.symbols > 1000)
+        assert len(over) == 1 and over[0] + 1 > read
+        u = np.random.Generator(np.random.PCG64(4)).random(10_000)
+        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", "1000")
+        with pytest.raises(RareTailError) as err:
+            sample_scenery(inverse_square, 10_000, seed=4)
+        assert err.value.variate == float(u.max())
+        assert err.value.cap == 1000
 
 
 class TestDominationStart:
@@ -87,6 +163,10 @@ class TestDominationStart:
         sums = np.cumsum(path.symbols)
         n = domination_start(path)
         assert all(sums[k] >= k + 1 for k in range(n - 1, len(sums)))
+
+    def test_rejects_symbols_below_one(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            SceneryPath(np.asarray([2, 0, 1], dtype=np.int64), seed=0)
 
     def test_all_ones_boundary(self):
         path = SceneryPath(np.ones(64, dtype=np.int64), seed=0)
