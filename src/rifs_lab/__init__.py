@@ -17,7 +17,6 @@ from .bowen import (
 from .cover import (
     BudgetError,
     CylinderCode,
-    DyadicCube,
     box_exponents,
     cylinder_to_cube,
     emit_points,
@@ -78,7 +77,6 @@ __all__ = [
     "CylinderCode",
     "DEFAULT_EXACT_BITS",
     "DivergenceVerdict",
-    "DyadicCube",
     "Frame",
     "FrameDepthError",
     "FrameError",

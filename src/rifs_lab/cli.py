@@ -17,6 +17,7 @@ from .frame import (
     Frame,
     FrameError,
     frame_from_doc,
+    frame_pairs,
     minimal_frame,
     validate_frame,
 )
@@ -80,22 +81,20 @@ def cmd_frame(args: argparse.Namespace) -> int:
         _emit(doc, args.out)
         return 0
 
-    text = Path(args.path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(args.path).read_text())
+    except OSError as exc:
+        return _fail(str(exc))
     except json.JSONDecodeError as exc:
         return _fail(f"not valid JSON: {exc}")
-    if isinstance(doc, dict):
-        try:
-            frame_from_doc(doc)
-        except FrameError as exc:
-            return _fail(str(exc))
-        _emit({"valid": True, "rule": doc.get("rule")})
-        return 0
     try:
-        pairs = [(int(u), int(v)) for u, v in doc]
-    except (TypeError, ValueError):
-        return _fail("frame file must hold [U, V] decimal-string pairs")
+        if isinstance(doc, dict):
+            frame_from_doc(doc)
+            _emit({"valid": True, "rule": doc.get("rule")})
+            return 0
+        pairs = frame_pairs(doc)
+    except FrameError as exc:
+        return _fail(str(exc))
     report = validate_frame(pairs)
     _emit(report.to_dict())
     return 0 if report.valid else 1
@@ -270,6 +269,8 @@ def _profile_from_args(args: argparse.Namespace):
     symbols = _parse_list(args.symbols, int, "--symbols")
     if any(s < 1 for s in symbols):
         raise SpecValidationError("symbols are positive integers")
+    if args.d < 1:
+        raise SpecValidationError("--d must be >= 1")
     if args.frame:
         frame = frame_from_doc(json.loads(Path(args.frame).read_text()))
     else:
@@ -283,11 +284,13 @@ def _profile_from_args(args: argparse.Namespace):
 def cmd_cover(args: argparse.Namespace) -> int:
     try:
         profile = _profile_from_args(args)
-    except (SpecValidationError, FrameError, json.JSONDecodeError) as exc:
+    except (SpecValidationError, FrameError, json.JSONDecodeError, OSError) as exc:
         return _fail(str(exc))
 
     if args.cover_cmd == "exponents":
         depths = _parse_list(args.depths, int, "--depths")
+        if min(depths) < 0:
+            return _fail("--depths values must be >= 0")
         try:
             pairs = cover.box_exponents(profile, depths)
         except pressure.CoverageError as exc:
@@ -302,7 +305,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        cubes = cover.enumerate_cylinders(profile, args.depth, budget=args.budget)
+        corners = cover.enumerate_cylinders(profile, args.depth, budget=args.budget)
     except cover.BudgetError as exc:
         return _fail(str(exc), {"required_budget": exc.required})
     except pressure.CoverageError as exc:
@@ -311,19 +314,19 @@ def cmd_cover(args: argparse.Namespace) -> int:
     if args.cover_cmd == "enum":
         _emit({
             "depth": args.depth,
-            "count": len(cubes),
-            "osc": cover.osc_check(cubes),
-            "cubes": [{"level": c.level, "corner": list(c.corner)} for c in cubes],
+            "count": len(corners),
+            "osc": cover.osc_check(corners),
+            "cubes": [{"level": args.depth, "corner": row} for row in corners.tolist()],
         }, args.out)
         return 0
 
     try:
-        text = cover.emit_points(cubes)
+        text = cover.emit_points(corners, args.depth)
     except cover.UnsupportedDimensionError as exc:
         return _fail(str(exc))
     if args.out:
         Path(args.out).write_text(text)
-        _emit({"written": str(args.out), "rows": len(cubes)})
+        _emit({"written": str(args.out), "rows": len(corners)})
     else:
         sys.stdout.write(text)
     return 0

@@ -1,16 +1,20 @@
-"""Concrete geometry on [0,1]^d: cylinder cubes, covers, and point export.
+"""Concrete geometry on [0,1]^d: cylinder covers, open-set check, point export.
 
 Every map in play halves the cube and translates by half a 0/1 vector, so a
-depth-m cylinder is the dyadic cube whose corner numerator in coordinate l
-is the binary number reading bit l of the word's steps from most to least
-significant.  Corners stay exact integers until emission.
+depth-m cylinder is the dyadic cube corner/2^m + [0, 2^-m]^d whose corner
+numerator in coordinate l is the binary number reading bit l of the word's
+steps from most to least significant.  A depth-m cover is one ``(N, d)``
+array of corner numerators, one row per word in lexicographic word order;
+its level is m.  Corners stay exact integers until emission: ``int64`` while
+m <= 62, Python ints (``object`` dtype) beyond, in the same code.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .numerics import HybridNumber
 from .pressure import BranchProfile, CoverageError
@@ -33,34 +37,6 @@ class BudgetError(RuntimeError):
 
 class UnsupportedDimensionError(ValueError):
     """Point export beyond 3 coordinates."""
-
-
-@dataclass(frozen=True)
-class DyadicCube:
-    """corner/2^level + [0, 2^-level]^d."""
-
-    level: int
-    corner: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("cube level must be nonnegative")
-        top = 1 << self.level
-        if any(not 0 <= c < top for c in self.corner):
-            raise ValueError("corner numerators must lie in [0, 2^level)")
-
-    @property
-    def d(self) -> int:
-        return len(self.corner)
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    def parent(self) -> "DyadicCube":
-        if self.level == 0:
-            raise ValueError("the unit cube has no parent")
-        return DyadicCube(self.level - 1, tuple(c >> 1 for c in self.corner))
 
 
 @dataclass(frozen=True)
@@ -97,8 +73,9 @@ class CylinderCode:
         return len(self.word[0])
 
 
-def cylinder_to_cube(code: CylinderCode) -> DyadicCube:
-    """Image of the unit cube under the word's composition.
+def cylinder_to_cube(code: CylinderCode) -> tuple[int, ...]:
+    """Corner numerators, at level ``code.depth``, of the unit cube's image
+    under the word's composition.
 
     Bit l of step k contributes 2^(depth-k) to coordinate l's corner
     numerator: earlier steps are more significant.
@@ -110,7 +87,7 @@ def cylinder_to_cube(code: CylinderCode) -> DyadicCube:
         for l, bit in enumerate(vec):
             if bit:
                 corner[l] += w
-    return DyadicCube(level=m, corner=tuple(corner))
+    return tuple(corner)
 
 
 def step_flags(profile: BranchProfile, depth: int) -> list[bool]:
@@ -124,10 +101,11 @@ def step_flags(profile: BranchProfile, depth: int) -> list[bool]:
                 "step enumeration needs exact run lengths; the schedule has "
                 "been promoted to log form at this depth"
             )
-        flags.extend([False] * run.flat_len.as_int())
-        flags.extend([True] * run.branch_len.as_int())
-        if len(flags) >= depth:
-            return flags[:depth]
+        # a run may be far longer than the steps still needed
+        flags.extend([False] * min(run.flat_len.as_int(), depth - len(flags)))
+        flags.extend([True] * min(run.branch_len.as_int(), depth - len(flags)))
+        if len(flags) == depth:
+            return flags
     raise CoverageError(
         f"profile covers {len(flags)} refined steps, depth {depth} requested"
     )
@@ -135,43 +113,33 @@ def step_flags(profile: BranchProfile, depth: int) -> list[bool]:
 
 def enumerate_cylinders(
     profile: BranchProfile, depth: int, budget: int = DEFAULT_BUDGET
-) -> list[DyadicCube]:
-    """All depth-m cylinder cubes in lexicographic word order.
+) -> np.ndarray:
+    """Corner numerators of all depth-m cylinders, one row per word in
+    lexicographic word order.
 
     The word count is 2^(d*B_m); the budget guards that count, not the
     depth, since single-map runs extend words for free.
     """
     flags = step_flags(profile, depth)
     d = profile.d
-    branching = sum(flags)
-    required = 2 ** (d * branching)
+    required = 2 ** (d * sum(flags))
     if required > budget:
         raise BudgetError(required, budget)
 
-    weights = [1 << (depth - k) for k in range(1, depth + 1)]
-    base = tuple(0 for _ in range(d))
-    corners: list[tuple[int, ...]] = [base]
-    vectors = list(itertools.product((0, 1), repeat=d))
-    for k, full in enumerate(flags):
-        if not full:
-            continue
-        w = weights[k]
-        corners = [
-            tuple(c[l] + vec[l] * w for l in range(d))
-            for c in corners
-            for vec in vectors
-        ]
-    return [DyadicCube(level=depth, corner=c) for c in corners]
+    dtype = np.int64 if depth <= 62 else object  # numerators are below 2^depth
+    vectors = np.array(list(itertools.product((0, 1), repeat=d)), dtype=dtype)
+    corners = np.zeros((1, d), dtype=dtype)
+    for k, full in enumerate(flags, start=1):
+        if full:
+            # each row branches into 2^d children, kept next to each other
+            corners = (corners[:, None, :] + vectors * (1 << (depth - k))).reshape(-1, d)
+    return corners
 
 
-def osc_check(cubes: list[DyadicCube]) -> bool:
+def osc_check(corners: np.ndarray) -> bool:
     """Pairwise-disjoint interiors: same-level dyadic cubes, distinct corners."""
-    if not cubes:
-        return True
-    level = cubes[0].level
-    if any(c.level != level for c in cubes):
-        raise ValueError("cubes must share one level")
-    return len({c.corner for c in cubes}) == len(cubes)
+    ordered = corners[np.lexsort(corners.T)]
+    return not (ordered[1:] == ordered[:-1]).all(axis=1).any()
 
 
 def box_exponents(
@@ -192,18 +160,13 @@ def box_exponents(
     return out
 
 
-def emit_points(cubes: list[DyadicCube]) -> str:
+def emit_points(corners: np.ndarray, level: int) -> str:
     """CSV of cube corners and side lengths for external plotting (d <= 3)."""
-    if not cubes:
-        return "x,side\n"
-    d = cubes[0].d
+    d = corners.shape[1]
     if d > 3:
         raise UnsupportedDimensionError(f"point export supports d <= 3, got d = {d}")
-    header = ",".join(["x", "y", "z"][:d]) + ",side"
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for cube in cubes:
-        scale = 2.0 ** (-cube.level)
-        coords = ",".join(repr(c * scale) for c in cube.corner)
-        buf.write(f"{coords},{cube.side!r}\n")
-    return buf.getvalue()
+    line = ",".join(["%r"] * d) + f",{2.0 ** -level!r}\n"  # %r formats a float as repr does
+    header = ",".join(["x", "y", "z"][:d]) + ",side\n"
+    # true division rounds once, also for numerators past the float range
+    coords = (corners / (1 << level)).tolist()
+    return header + "".join([line % tuple(row) for row in coords])

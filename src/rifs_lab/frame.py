@@ -236,13 +236,20 @@ def frame_from_doc(doc: object) -> Frame:
             slack = (raw[0], raw[1])
         return minimal_frame(levels, slack=slack)
     if isinstance(doc, list):
-        pairs = []
-        for i, item in enumerate(doc, start=1):
-            if not isinstance(item, list) or len(item) != 2:
-                raise FrameError(f"level {i}: expected a [U, V] pair")
-            try:
-                pairs.append((int(item[0]), int(item[1])))
-            except (TypeError, ValueError) as exc:
-                raise FrameError(f"level {i}: entries must be decimal integers") from exc
-        return Frame.explicit(pairs)
+        return Frame.explicit(frame_pairs(doc))
     raise FrameError("frame document must be a list of pairs or a rule object")
+
+
+def frame_pairs(doc: object) -> list[tuple[int, int]]:
+    """Integer (U, V) pairs of a frame file's ``[U, V]`` decimal-string list."""
+    if not isinstance(doc, list):
+        raise FrameError("frame file must hold [U, V] decimal-string pairs")
+    pairs = []
+    for i, item in enumerate(doc, start=1):
+        if not isinstance(item, list) or len(item) != 2:
+            raise FrameError(f"level {i}: expected a [U, V] pair")
+        try:
+            pairs.append((int(item[0]), int(item[1])))
+        except (TypeError, ValueError) as exc:
+            raise FrameError(f"level {i}: entries must be decimal integers") from exc
+    return pairs

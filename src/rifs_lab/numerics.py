@@ -3,8 +3,8 @@
 Frame entries and schedule lengths grow triple-exponentially, so a single
 number type has to cover everything from small integers to magnitudes like
 2**(3**40).  A :class:`HybridNumber` stores a nonnegative quantity either as
-an arbitrary-precision integer (while its bit length stays at or below a
-configurable threshold) or as a base-2 log magnitude.  Promotion to the log
+an arbitrary-precision integer (while its bit length stays at or below
+:data:`DEFAULT_EXACT_BITS`) or as a base-2 log magnitude.  Promotion to the log
 form is one-way; demotion never happens, which keeps comparison semantics
 simple.
 
@@ -99,13 +99,13 @@ class HybridNumber:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_int(cls, n: int, bits: int = DEFAULT_EXACT_BITS) -> "HybridNumber":
+    def from_int(cls, n: int) -> "HybridNumber":
         if n < 0:
             raise ValueError("HybridNumber is nonnegative")
         if n == 0:
             return _ZERO
         l2 = log2_int(n)
-        if n.bit_length() <= bits:
+        if n.bit_length() <= DEFAULT_EXACT_BITS:
             return cls(n, l2)
         return cls(None, l2)
 
@@ -141,7 +141,7 @@ class HybridNumber:
 
     # -- arithmetic ----------------------------------------------------
 
-    def add(self, other: "HybridNumber", bits: int = DEFAULT_EXACT_BITS) -> "HybridNumber":
+    def add(self, other: "HybridNumber") -> "HybridNumber":
         """Sum; exact while the result fits the threshold.
 
         Mixed or promoted operands go through :func:`log2_add`; the log2 error
@@ -155,17 +155,17 @@ class HybridNumber:
         if other.is_zero:
             return self
         if self.exact is not None and other.exact is not None:
-            return HybridNumber.from_int(self.exact + other.exact, bits)
+            return HybridNumber.from_int(self.exact + other.exact)
         return HybridNumber.from_log2(log2_add(self.log2, other.log2))
 
-    def mul(self, other: "HybridNumber", bits: int = DEFAULT_EXACT_BITS) -> "HybridNumber":
+    def mul(self, other: "HybridNumber") -> "HybridNumber":
         if self.is_zero or other.is_zero:
             return _ZERO
         if self.exact is not None and other.exact is not None:
-            return HybridNumber.from_int(self.exact * other.exact, bits)
+            return HybridNumber.from_int(self.exact * other.exact)
         return HybridNumber.from_log2(self.log2 + other.log2)
 
-    def sub(self, other: "HybridNumber", bits: int = DEFAULT_EXACT_BITS) -> "HybridNumber":
+    def sub(self, other: "HybridNumber") -> "HybridNumber":
         """Difference ``self - other``; requires ``self >= other``.
 
         Exact when both operands are exact; otherwise computed in log space
@@ -177,7 +177,7 @@ class HybridNumber:
             diff = self.exact - other.exact
             if diff < 0:
                 raise ValueError("hybrid subtraction would be negative")
-            return HybridNumber.from_int(diff, bits)
+            return HybridNumber.from_int(diff)
         if other.log2 >= self.log2:
             # Equal log magnitudes: the represented values coincide.
             if other.log2 == self.log2:
@@ -185,22 +185,22 @@ class HybridNumber:
             raise ValueError("hybrid subtraction would be negative")
         return HybridNumber.from_log2(log2_sub(self.log2, other.log2))
 
-    def pow3(self, bits: int = DEFAULT_EXACT_BITS) -> "HybridNumber":
+    def pow3(self) -> "HybridNumber":
         """Cube; the log form simply triples the stored magnitude."""
         if self.is_zero:
             return _ZERO
         if self.exact is not None:
-            return HybridNumber.from_int(self.exact ** 3, bits)
+            return HybridNumber.from_int(self.exact ** 3)
         return HybridNumber.from_log2(3.0 * self.log2)
 
-    def scale(self, k: int, bits: int = DEFAULT_EXACT_BITS) -> "HybridNumber":
+    def scale(self, k: int) -> "HybridNumber":
         """Multiply by a machine integer ``k >= 0``."""
         if k < 0:
             raise ValueError("scale factor must be nonnegative")
         if k == 0 or self.is_zero:
             return _ZERO
         if self.exact is not None:
-            return HybridNumber.from_int(self.exact * k, bits)
+            return HybridNumber.from_int(self.exact * k)
         return HybridNumber.from_log2(self.log2 + math.log2(k))
 
     # -- ordering -------------------------------------------------------

@@ -42,3 +42,27 @@ def test_tracer_wraps_every_layer_and_reads_seeds(capsys):
     # sample_scenery
     assert [key for name, key, *_ in tracer.spans if name == "seed"] == [600, 601, 602]
     assert tracer.counts["pressure.special_times.calls"] == 3
+
+
+def test_tracer_reads_cover_layers(capsys, tmp_path):
+    tracing = load_tracing()
+    lib = {n: importlib.import_module(f"rifs_lab.{n}") for n in MODULES}
+    cover = lib["cover"]
+    originals = (cover.enumerate_cylinders, cover.osc_check, cover.emit_points)
+    common = ["--symbols", "1,1,1", "--d", "2", "--depth", "6", "--levels", "4"]
+    points = tmp_path / "points.csv"
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer, lib)
+        codes = [main(["cover", "enum", *common, "--out", str(tmp_path / "enum.json")]),
+                 main(["cover", "points", *common, "--out", str(points)])]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert (cover.enumerate_cylinders, cover.osc_check, cover.emit_points) == originals
+    # 64 words per command; the hooks read len() of the corners and of the CSV text
+    assert tracer.counts["cover.words"] == 2 * 64
+    assert tracer.counts["cover.points_bytes"] == len(points.read_text())
+    spans = {name for name, *_ in tracer.spans}
+    assert {"cover.enumerate_cylinders", "cover.osc_check", "cover.emit_points"} <= spans

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from rifs_lab import pressure
 from rifs_lab.cli import main
 
 from conftest import frame_family_doc, two_ifs_doc
+from oracles import brute_force_cubes
 
 D1_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "counterexample_d1.json")
 
@@ -60,6 +62,14 @@ class TestFrameCommand:
         assert code != 0
         assert not doc["valid"]
         assert any("(U_n+V_n)^3" in v["clause"] for v in doc["violations"])
+
+    def test_validate_rejects_what_a_config_rejects(self, capsys, tmp_path):
+        # two strings are not a list of [U, V] pairs, in a file as in a config
+        p = tmp_path / "unpaired.json"
+        p.write_text(json.dumps(["11", "89"]))
+        code, doc = run_json(capsys, "frame", "validate", str(p))
+        assert code == 2
+        assert doc["error"] == "level 1: expected a [U, V] pair"
 
 
 class TestDimensionsCommand:
@@ -209,6 +219,44 @@ class TestCoverCommand:
         code, doc = run_json(capsys, "cover", *argv)
         assert code == 2 and "comma-separated int" in doc["error"]
 
+    # 4 words at depth 100: one branching step, weight 2^98, past int64
+    DEEP = ["--symbols", "1,3", "--d", "2", "--depth", "100"]
+    DEEP_CORNERS = [[0, 0], [0, 2 ** 98], [2 ** 98, 0], [2 ** 98, 2 ** 98]]
+    DEEP_POINTS = ("x,y,side\n"
+                   "0.0,0.0,7.888609052210118e-31\n"
+                   "0.0,0.25,7.888609052210118e-31\n"
+                   "0.25,0.0,7.888609052210118e-31\n"
+                   "0.25,0.25,7.888609052210118e-31\n")
+
+    def test_deep_enum_matches_oracle(self, capsys):
+        code, doc = run_json(capsys, "cover", "enum", *self.DEEP)
+        assert code == 0
+        corners = [c["corner"] for c in doc["cubes"]]
+        assert corners == self.DEEP_CORNERS
+        assert {c["level"] for c in doc["cubes"]} == {100}
+        assert doc["count"] == 4 and doc["osc"] is True
+        flags = [False, True] + [False] * 98
+        assert {tuple(Fraction(c, 2 ** 100) for c in row) for row in corners} \
+            == brute_force_cubes(flags, 2)
+
+    def test_deep_points_matches_oracle(self, capsys):
+        code, out = run(capsys, "cover", "points", *self.DEEP)
+        assert code == 0
+        assert out == self.DEEP_POINTS
+        flags = [False, True] + [False] * 98
+        rows = [tuple(float(x) for x in line.split(",")[:2]) for line in out.split("\n")[1:-1]]
+        assert set(rows) == {tuple(float(x) for x in c) for c in brute_force_cubes(flags, 2)}
+
+    def test_points_past_float_range(self, capsys):
+        # corner numerator 2^1998 has no float; its coordinate 1/4 does
+        code, out = run(capsys, "cover", "points", "--symbols", "1,3", "--d", "1",
+                        "--depth", "2000")
+        assert code == 0
+        rows = [float(line.split(",")[0]) for line in out.split("\n")[1:-1]]
+        flags = [False, True] + [False] * 1998
+        assert rows == sorted(float(x) for (x,) in brute_force_cubes(flags, 1))
+        assert rows == [0.0, 0.25]
+
     def test_points_csv(self, capsys):
         code, out = run(capsys, "cover", "points", "--symbols", "1,1",
                         "--d", "1", "--depth", "2", "--levels", "4")
@@ -259,6 +307,20 @@ class TestSampleCommand:
         assert code == 0
         symbols = {int(line.split(",")[1]) for line in out.strip().split("\n")[1:]}
         assert symbols <= {1, 2}
+
+
+class TestOutsideInput:
+    @pytest.mark.parametrize("argv", [
+        ["frame", "validate", "MISSING"],
+        ["cover", "enum", "--symbols", "1,2", "--depth", "2", "--frame", "MISSING"],
+        ["cover", "enum", "--symbols", "1,2", "--depth", "2", "--d", "0"],
+        ["cover", "exponents", "--symbols", "1,2", "--depths", "0,-1"],
+    ], ids=["frame-validate-missing-file", "cover-missing-frame-file", "cover-d-zero",
+            "exponents-negative-depth"])
+    def test_ends_in_error_document(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "missing.json")
+        code, doc = run_json(capsys, *[missing if a == "MISSING" else a for a in argv])
+        assert code == 2 and "error" in doc
 
 
 class TestSchemaDiscipline:

@@ -9,7 +9,6 @@ from rifs_lab import Frame, SceneryPath, build_branch_profile, minimal_frame
 from rifs_lab.cover import (
     BudgetError,
     CylinderCode,
-    DyadicCube,
     UnsupportedDimensionError,
     box_exponents,
     cylinder_to_cube,
@@ -35,17 +34,16 @@ def pseudo_frame():
 class TestCylinderToCube:
     def test_single_zero_step(self):
         code = CylinderCode(word=((0,),), full_step=(True,))
-        cube = cylinder_to_cube(code)
-        assert cube == DyadicCube(level=1, corner=(0,))
-        assert cube.side == 0.5
+        assert cylinder_to_cube(code) == (0,)
+        assert code.depth == 1
 
     def test_two_ones(self):
         code = CylinderCode(word=((1,), (1,)), full_step=(True, True))
-        assert cylinder_to_cube(code) == DyadicCube(level=2, corner=(3,))
+        assert cylinder_to_cube(code) == (3,)
 
     def test_d2_unit_vector(self):
         code = CylinderCode(word=(((1, 0)),), full_step=(True,))
-        assert cylinder_to_cube(code) == DyadicCube(level=1, corner=(1, 0))
+        assert cylinder_to_cube(code) == (1, 0)
 
     def test_corner_only_steps_must_be_zero(self):
         with pytest.raises(ValueError, match="zero vector"):
@@ -61,8 +59,8 @@ class TestCylinderToCube:
         ])
         got = set()
         for word in words:
-            cube = cylinder_to_cube(CylinderCode(word=tuple(word), full_step=tuple(flags)))
-            got.add(tuple(Fraction(c, 2 ** cube.level) for c in cube.corner))
+            code = CylinderCode(word=tuple(word), full_step=tuple(flags))
+            got.add(tuple(Fraction(c, 2 ** code.depth) for c in cylinder_to_cube(code)))
         assert got == oracle
 
 
@@ -70,14 +68,14 @@ class TestEnumerateCylinders:
     def test_two_cubes_after_one_branch(self, frame5):
         profile = build_branch_profile(path_of(1, 1), frame5, 1)
         cubes = enumerate_cylinders(profile, 2)
-        assert [c.corner for c in cubes] == [(0,), (1,)]
-        assert {(c.corner[0] / 4, c.corner[0] / 4 + 0.25) for c in cubes} \
+        assert cubes.tolist() == [[0], [1]]
+        assert {(c / 4, c / 4 + 0.25) for c in cubes[:, 0].tolist()} \
             == {(0.0, 0.25), (0.25, 0.5)}
 
     def test_corner_only_prefix_single_cube(self, frame5):
         profile = build_branch_profile(path_of(2,), frame5, 1)
         cubes = enumerate_cylinders(profile, 8)
-        assert cubes == [DyadicCube(level=8, corner=(0,))]
+        assert cubes.tolist() == [[0]]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_count_always_matches_branch_total(self, pseudo_frame, d):
@@ -86,6 +84,12 @@ class TestEnumerateCylinders:
             flags = step_flags(profile, m)
             cubes = enumerate_cylinders(profile, m, budget=2 ** 22)
             assert len(cubes) == 2 ** (d * sum(flags))
+
+    def test_long_run_beyond_depth_not_materialised(self, frame5):
+        # the level-4 single-map run has ~1.7e14 steps; three are needed
+        profile = build_branch_profile(path_of(1, 4), frame5, 1)
+        assert step_flags(profile, 3) == [False, True, False]
+        assert enumerate_cylinders(profile, 3).tolist() == [[0], [2]]
 
     def test_budget_error_names_required(self, pseudo_frame):
         profile = build_branch_profile(path_of(3, 3, 3, 3), pseudo_frame, 2)
@@ -97,34 +101,59 @@ class TestEnumerateCylinders:
         profile = build_branch_profile(path_of(2, 2), pseudo_frame, 1)
         a = enumerate_cylinders(profile, 8)
         b = enumerate_cylinders(profile, 8)
-        assert a == b
-        corners = [c.corner[0] for c in a]
+        assert np.array_equal(a, b)
+        corners = a[:, 0].tolist()
         assert corners == sorted(corners)
+
+    def test_rows_follow_word_order_d2(self, pseudo_frame):
+        # row i is the i-th word of itertools.product; the CLI bytes depend on it
+        profile = build_branch_profile(path_of(1, 2, 3), pseudo_frame, 2)
+        m = 9
+        flags = step_flags(profile, m)
+        words = itertools.product(*[
+            list(itertools.product((0, 1), repeat=2)) if f else [(0, 0)]
+            for f in flags
+        ])
+        want = [list(cylinder_to_cube(CylinderCode(word=w, full_step=tuple(flags))))
+                for w in words]
+        assert enumerate_cylinders(profile, m, budget=2 ** 22).tolist() == want
+
+    @pytest.mark.parametrize("m, dtype", [(62, np.int64), (63, object), (100, object)])
+    def test_depth_picks_exact_dtype(self, frame5, m, dtype):
+        # one branching step at depth 2, then the level-3 single-map run
+        profile = build_branch_profile(path_of(1, 3), frame5, 2)
+        cubes = enumerate_cylinders(profile, m)
+        assert cubes.dtype == dtype
+        flags = step_flags(profile, m)
+        got = {tuple(Fraction(c, 2 ** m) for c in row) for row in cubes.tolist()}
+        assert got == brute_force_cubes(flags, 2)
 
     def test_matches_fraction_oracle(self, pseudo_frame):
         profile = build_branch_profile(path_of(1, 2, 3), pseudo_frame, 2)
         m = 9
         flags = step_flags(profile, m)
         got = {
-            tuple(Fraction(c, 2 ** cube.level) for c in cube.corner)
-            for cube in enumerate_cylinders(profile, m, budget=2 ** 22)
+            tuple(Fraction(c, 2 ** m) for c in row)
+            for row in enumerate_cylinders(profile, m, budget=2 ** 22).tolist()
         }
         assert got == brute_force_cubes(flags, 2)
 
 
 class TestOSC:
     def test_full_level_one_family(self):
-        cubes = [DyadicCube(level=1, corner=c)
-                 for c in itertools.product((0, 1), repeat=2)]
+        cubes = np.array(list(itertools.product((0, 1), repeat=2)), dtype=np.int64)
         assert osc_check(cubes)
 
     def test_duplicate_fails(self):
-        cubes = [DyadicCube(level=1, corner=(0,)), DyadicCube(level=1, corner=(0,))]
+        cubes = np.array([[0], [0]], dtype=np.int64)
         assert not osc_check(cubes)
 
-    def test_mixed_levels_rejected(self):
-        with pytest.raises(ValueError):
-            osc_check([DyadicCube(level=1, corner=(0,)), DyadicCube(level=2, corner=(0,))])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_nonadjacent_duplicate_fails(self, dtype):
+        top = 1 << 40 if dtype is np.int64 else 1 << 80
+        cubes = np.array([[top, 1], [1, top], [top, 0], [top, 1]], dtype=dtype)
+        assert not osc_check(cubes)
+        assert osc_check(cubes[:3])
 
     def test_all_enumerations_pass(self, pseudo_frame):
         profile = build_branch_profile(path_of(1, 2, 3, 1), pseudo_frame, 1)
@@ -136,10 +165,10 @@ class TestNesting:
     def test_every_child_in_exactly_one_parent(self, pseudo_frame):
         profile = build_branch_profile(path_of(1, 2, 3), pseudo_frame, 2)
         for m in range(1, 12):
-            parents = {c.corner for c in enumerate_cylinders(profile, m, budget=2 ** 22)}
+            parents = set(map(tuple, enumerate_cylinders(profile, m, budget=2 ** 22).tolist()))
             children = enumerate_cylinders(profile, m + 1, budget=2 ** 22)
-            for child in children:
-                assert child.parent().corner in parents
+            for child in (children >> 1).tolist():
+                assert tuple(child) in parents
 
 
 class TestCoverSumIdentity:
@@ -148,7 +177,7 @@ class TestCoverSumIdentity:
         profile = build_branch_profile(path_of(1, 2, 3, 1), pseudo_frame, 1)
         for m in range(1, 13):
             cubes = enumerate_cylinders(profile, m, budget=2 ** 22)
-            geometric = math.fsum(c.side ** t for c in cubes)
+            geometric = math.fsum((2.0 ** -m) ** t for _ in cubes)
             symbolic = math.exp(refined_log_sum(profile, m, t))
             assert geometric == pytest.approx(symbolic, rel=1e-12)
 
@@ -199,21 +228,28 @@ class TestEmitPoints:
     def test_rows_and_header_d1(self, frame5):
         profile = build_branch_profile(path_of(1, 1), frame5, 1)
         cubes = enumerate_cylinders(profile, 2)
-        text = emit_points(cubes)
+        text = emit_points(cubes, 2)
         lines = text.strip().split("\n")
         assert lines[0] == "x,side"
         assert len(lines) == 1 + len(cubes)
         assert lines[1] == "0.0,0.25"
 
     def test_full_level_one_square(self):
-        cubes = [DyadicCube(level=1, corner=c)
-                 for c in itertools.product((0, 1), repeat=2)]
-        text = emit_points(cubes)
+        cubes = np.array(list(itertools.product((0, 1), repeat=2)), dtype=np.int64)
+        text = emit_points(cubes, 1)
         lines = text.strip().split("\n")
         assert lines[0] == "x,y,side"
         assert len(lines) == 5
 
     def test_rejects_high_dimensions(self):
-        cube = DyadicCube(level=0, corner=(0, 0, 0, 0))
         with pytest.raises(UnsupportedDimensionError):
-            emit_points([cube])
+            emit_points(np.zeros((1, 4), dtype=np.int64), 0)
+
+    def test_both_dtypes_emit_the_same_bytes(self, pseudo_frame):
+        profile = build_branch_profile(path_of(1, 2, 3), pseudo_frame, 2)
+        cubes = enumerate_cylinders(profile, 9)
+        text = emit_points(cubes, 9)
+        assert emit_points(cubes.astype(object), 9) == text
+        # each coordinate is the float of numerator * 2^-level
+        row = [repr(c * 2.0 ** -9) for c in cubes[5].tolist()]
+        assert text.split("\n")[6] == ",".join(row) + "," + repr(2.0 ** -9)

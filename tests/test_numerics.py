@@ -75,9 +75,12 @@ class TestHybridBasics:
         assert H(n).is_exact
         assert H(n).as_int() == n
 
-    def test_threshold_configurable(self):
-        n = 1 << 100
-        assert not HybridNumber.from_int(n, bits=64).is_exact
+    def test_threshold_boundary(self):
+        widest = (1 << DEFAULT_EXACT_BITS) - 1  # 4096 bits
+        assert H(widest).is_exact
+        assert not H(widest + 1).is_exact  # 4097 bits
+        assert H(widest).sub(H(1)).add(H(1)).is_exact
+        assert not H(widest).add(H(1)).is_exact
 
     def test_sub_exact_and_log(self):
         assert H(24).sub(H(8)).as_int() == 16
