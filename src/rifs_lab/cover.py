@@ -22,6 +22,9 @@ from .pressure import BranchProfile, CoverageError
 #: Default ceiling on enumerated words (not on depth: single-map runs are free).
 DEFAULT_BUDGET = 2 ** 20
 
+#: Deepest level whose cube side 2^-level is a nonzero float (a subnormal).
+MAX_POINTS_LEVEL = 1074
+
 
 class BudgetError(RuntimeError):
     """Enumeration would exceed the word budget."""
@@ -35,8 +38,8 @@ class BudgetError(RuntimeError):
         )
 
 
-class UnsupportedDimensionError(ValueError):
-    """Point export beyond 3 coordinates."""
+class PointExportError(ValueError):
+    """Point export beyond 3 coordinates or past :data:`MAX_POINTS_LEVEL`."""
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,11 @@ def emit_points(corners: np.ndarray, level: int) -> str:
     """CSV of cube corners and side lengths for external plotting (d <= 3)."""
     d = corners.shape[1]
     if d > 3:
-        raise UnsupportedDimensionError(f"point export supports d <= 3, got d = {d}")
+        raise PointExportError(f"point export supports d <= 3, got d = {d}")
+    if level > MAX_POINTS_LEVEL:
+        raise PointExportError(
+            f"point export supports depth <= {MAX_POINTS_LEVEL}, where the side "
+            f"2^-depth is still a nonzero float; got depth {level}")
     line = ",".join(["%r"] * d) + f",{2.0 ** -level!r}\n"  # %r formats a float as repr does
     header = ",".join(["x", "y", "z"][:d]) + ",side\n"
     # true division rounds once, also for numerators past the float range

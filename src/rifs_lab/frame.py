@@ -76,25 +76,16 @@ class Frame:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def explicit(cls, pairs: Sequence[tuple[int, int]], validate: bool = True) -> "Frame":
-        """Frame from integer (U, V) pairs.
-
-        ``validate=False`` admits pseudo-frames that break the growth axiom;
-        this exists only so enumeration oracles in tests stay tractable.
-        Production entry points always validate.
-        """
-        levels = [
-            FrameLevel(HybridNumber.from_int(int(u)), HybridNumber.from_int(int(v)))
-            for u, v in pairs
-        ]
-        if validate:
-            report = validate_frame([(int(u), int(v)) for u, v in pairs])
-            if not report.valid:
-                first = report.violations[0]
-                raise FrameError(
-                    f"invalid frame: level {first.level}: {first.clause}: {first.detail}"
-                )
-        return cls(levels, rule="explicit")
+    def explicit(cls, pairs: Sequence[tuple[int, int]]) -> "Frame":
+        """Frame from integer (U, V) pairs that satisfy every axiom."""
+        report = validate_frame(pairs)
+        if not report.valid:
+            first = report.violations[0]
+            raise FrameError(
+                f"invalid frame: level {first.level}: {first.clause}: {first.detail}"
+            )
+        return cls([FrameLevel(HybridNumber.from_int(u), HybridNumber.from_int(v))
+                    for u, v in pairs], rule="explicit")
 
     def __len__(self) -> int:
         return len(self._levels)

@@ -103,7 +103,7 @@ class HybridNumber:
         if n < 0:
             raise ValueError("HybridNumber is nonnegative")
         if n == 0:
-            return _ZERO
+            return ZERO
         l2 = log2_int(n)
         if n.bit_length() <= DEFAULT_EXACT_BITS:
             return cls(n, l2)
@@ -160,7 +160,7 @@ class HybridNumber:
 
     def mul(self, other: "HybridNumber") -> "HybridNumber":
         if self.is_zero or other.is_zero:
-            return _ZERO
+            return ZERO
         if self.exact is not None and other.exact is not None:
             return HybridNumber.from_int(self.exact * other.exact)
         return HybridNumber.from_log2(self.log2 + other.log2)
@@ -181,14 +181,14 @@ class HybridNumber:
         if other.log2 >= self.log2:
             # Equal log magnitudes: the represented values coincide.
             if other.log2 == self.log2:
-                return _ZERO
+                return ZERO
             raise ValueError("hybrid subtraction would be negative")
         return HybridNumber.from_log2(log2_sub(self.log2, other.log2))
 
     def pow3(self) -> "HybridNumber":
         """Cube; the log form simply triples the stored magnitude."""
         if self.is_zero:
-            return _ZERO
+            return ZERO
         if self.exact is not None:
             return HybridNumber.from_int(self.exact ** 3)
         return HybridNumber.from_log2(3.0 * self.log2)
@@ -198,7 +198,7 @@ class HybridNumber:
         if k < 0:
             raise ValueError("scale factor must be nonnegative")
         if k == 0 or self.is_zero:
-            return _ZERO
+            return ZERO
         if self.exact is not None:
             return HybridNumber.from_int(self.exact * k)
         return HybridNumber.from_log2(self.log2 + math.log2(k))
@@ -232,12 +232,6 @@ class HybridNumber:
     def __hash__(self) -> int:
         return hash(-math.inf if self.is_zero else self.log2)
 
-    def __add__(self, other: "HybridNumber") -> "HybridNumber":
-        return self.add(other)
-
-    def __mul__(self, other: "HybridNumber") -> "HybridNumber":
-        return self.mul(other)
-
     def __repr__(self) -> str:
         if self.exact is not None:
             if self.exact.bit_length() <= 64:
@@ -245,15 +239,8 @@ class HybridNumber:
             return f"HybridNumber(<{self.exact.bit_length()}-bit int>)"
         return f"HybridNumber(log2={self.log2!r})"
 
-    def __str__(self) -> str:
-        if self.exact is not None:
-            return str(self.exact)
-        return f"2^{self.log2:.6f}"
 
-
-_ZERO = HybridNumber(0, -math.inf)
-
-ZERO = _ZERO
+ZERO = HybridNumber(0, -math.inf)
 
 
 def log_sum_exp2_values(log2_values: Iterable[float]) -> float:

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import sampler
 from .frame import Frame
 from .numerics import HybridNumber, ZERO, exp2_saturating
 from .rifs import RIFSSpec
-from .sampler import RecordSequences, SceneryPath
+from .sampler import RecordSequences
 
 _LN2 = math.log(2.0)
 
@@ -113,8 +113,8 @@ class BranchProfile:
         return run.branch_start.add(inside)
 
 
-def build_branch_profile(path: SceneryPath, frame: Frame, d: int) -> BranchProfile:
-    """Unroll a scenery prefix against a frame.
+def build_branch_profile(symbols: Iterable[int], frame: Frame, d: int) -> BranchProfile:
+    """Unroll a prefix of scenery symbols against a frame.
 
     Raises :class:`~rifs_lab.frame.FrameDepthError` naming the offending
     symbol when the frame cannot provide a level (explicit frames past their
@@ -125,7 +125,7 @@ def build_branch_profile(path: SceneryPath, frame: Frame, d: int) -> BranchProfi
     runs: list[ProfileRun] = []
     j = ZERO
     b = ZERO
-    for i, s in enumerate(path.symbols, start=1):
+    for i, s in enumerate(symbols, start=1):
         try:
             lvl = frame.entry(int(s))
         except Exception as exc:
@@ -185,21 +185,16 @@ class SpecialTime:
     m: HybridNumber         # j_before + U at the record's level
 
 
-@dataclass(frozen=True)
-class SpecialTimesResult:
-    times: tuple[SpecialTime, ...]
-    truncated: bool  # profile ended before some record position
+def special_times(profile: BranchProfile, seqs: RecordSequences) -> tuple[SpecialTime, ...]:
+    """One special time per record pair.
 
-
-def special_times(profile: BranchProfile, seqs: RecordSequences) -> SpecialTimesResult:
-    """One special time per record pair the profile covers."""
+    Raises :class:`CoverageError` for a record position past the profile.
+    """
     times: list[SpecialTime] = []
-    truncated = False
     for n, pair in enumerate(seqs.pairs, start=1):
         b = pair.position
         if b > profile.run_count:
-            truncated = True
-            break
+            raise CoverageError(f"profile has {profile.run_count} runs, record at {b}")
         j_before = profile.j_of_run(b - 1)
         run = profile.runs[b - 1]
         times.append(
@@ -211,7 +206,7 @@ def special_times(profile: BranchProfile, seqs: RecordSequences) -> SpecialTimes
                 m=j_before.add(run.flat_len),
             )
         )
-    return SpecialTimesResult(times=tuple(times), truncated=truncated)
+    return tuple(times)
 
 
 @dataclass(frozen=True)
@@ -280,11 +275,7 @@ def ratio_floor_holds(profile: BranchProfile, st: SpecialTime, frame: Frame) -> 
     return u_rec.scale(2) >= st.j_before.mul(v_prev)
 
 
-class InconclusiveEstimateError(RuntimeError):
-    """No special time was computable at this horizon."""
-
-
-def dim_upper_estimate(profile: BranchProfile, result: SpecialTimesResult) -> float:
+def dim_upper_estimate(profile: BranchProfile, times: Sequence[SpecialTime]) -> float:
     """Subsequence upper-bound estimate: min over special times of d*B_m/m.
 
     At each time m the normalized log sum (d*B_m/m - t) log 2 crosses zero
@@ -292,11 +283,7 @@ def dim_upper_estimate(profile: BranchProfile, result: SpecialTimesResult) -> fl
     This is a finite-horizon proxy, exact along the special-time
     subsequence; it is an upper-bound witness, not a liminf.
     """
-    if not result.times:
-        raise InconclusiveEstimateError(
-            "no special times: records outran the covered schedule"
-        )
-    return min(time_exponent(profile, st) for st in result.times)
+    return min(time_exponent(profile, st) for st in times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +292,7 @@ class SeedRun:
 
     seqs: RecordSequences
     profile: BranchProfile
-    result: SpecialTimesResult
+    times: tuple[SpecialTime, ...]
     checks: tuple[tuple[SpecialTime, float, BoundCheck], ...]  # per time, then per t
     estimate: float
 
@@ -314,7 +301,7 @@ def run_seed(spec: RIFSSpec, seed: int, horizon: int, pairs: int,
              t_grid: Sequence[float]) -> SeedRun:
     """Sample one scenery and evaluate the subsequence bound along it.
 
-    The profile unrolls the scenery only up to the last record position,
+    The profile unrolls the scenery through the last record position,
     which is as far as any special time reads.  Raises
     :class:`~rifs_lab.frame.FrameDepthError` or
     :class:`~rifs_lab.sampler.RareTailError` for a seed whose symbols the
@@ -323,8 +310,8 @@ def run_seed(spec: RIFSSpec, seed: int, horizon: int, pairs: int,
     path = sampler.sample_scenery(spec.probabilities, horizon, seed)
     seqs = sampler.record_sequences(path, pairs)
     prefix_len = max((p.position for p in seqs.pairs), default=1)
-    profile = build_branch_profile(path.prefix(prefix_len), spec.frame, spec.d)
-    result = special_times(profile, seqs)
+    profile = build_branch_profile(path.head(prefix_len), spec.frame, spec.d)
+    times = special_times(profile, seqs)
     checks = tuple((st, t, subsequence_bound_check(profile, st, t))
-                   for st in result.times for t in t_grid)
-    return SeedRun(seqs, profile, result, checks, dim_upper_estimate(profile, result))
+                   for st in times for t in t_grid)
+    return SeedRun(seqs, profile, times, checks, dim_upper_estimate(profile, times))

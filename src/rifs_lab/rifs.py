@@ -151,12 +151,6 @@ class IFSDescriptor:
     def v(self) -> HybridNumber:
         return self.frame.entry(self.level).v
 
-    def ratio_log2_magnitude(self) -> HybridNumber:
-        """|log2 ratio| as a hybrid number (frame-generated: U_i + V_i)."""
-        if not self.is_frame_generated:
-            raise SpecValidationError("explicit descriptors carry per-aggregate ratios")
-        return self.u.add(self.v)
-
     def map_count(self) -> HybridNumber:
         """Total number of maps.
 
@@ -177,9 +171,8 @@ class IFSDescriptor:
         return HybridNumber.from_log2(self.d * vf)
 
     def max_log2_ratio(self) -> float:
-        """log2 of the largest contraction ratio (the one closest to 1)."""
-        if self.is_frame_generated:
-            return -self.ratio_log2_magnitude().to_float()
+        """log2 of the largest contraction ratio (the one closest to 1) of an
+        explicit system."""
         return max(a.log2_ratio for a in self.aggregates)
 
 
@@ -233,7 +226,11 @@ class HypothesisReport:
         return {"holds": self.holds, "reasons": list(self.reasons)}
 
 
-def check_bowen_hypothesis(spec: RIFSSpec, probe_levels: int = 8) -> HypothesisReport:
+#: Frame levels compared against level 1 by :func:`check_bowen_hypothesis`.
+_PROBE_LEVELS = 8
+
+
+def check_bowen_hypothesis(spec: RIFSSpec) -> HypothesisReport:
     """Do all systems carrying positive probability share one index set?
 
     With aggregate storage the checkable proxy is an equal total map count
@@ -243,7 +240,7 @@ def check_bowen_hypothesis(spec: RIFSSpec, probe_levels: int = 8) -> HypothesisR
     """
     reasons: list[str] = []
     if spec.is_frame_family:
-        depth = max(2, min(probe_levels, max(len(spec.frame), 2)))
+        depth = max(2, min(_PROBE_LEVELS, len(spec.frame)))
         base = spec.descriptor(1)
         for i in range(2, depth + 1):
             other = spec.descriptor(i)

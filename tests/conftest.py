@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from rifs_lab import ProbVector, minimal_frame, validate_spec
+from rifs_lab import Frame, HybridNumber, ProbVector, minimal_frame
+from rifs_lab.frame import FrameLevel
+from rifs_lab.rifs import validate_spec
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,6 +41,14 @@ def frame_family_spec():
 @pytest.fixture(scope="session")
 def frame5():
     return minimal_frame(5)
+
+
+@pytest.fixture(scope="session")
+def pseudo_frame():
+    """Levels (1, 1), (2, 2), (3, 3): small enough for enumeration oracles,
+    so they break the growth axiom, which only :meth:`Frame.explicit` checks."""
+    return Frame([FrameLevel(HybridNumber.from_int(u), HybridNumber.from_int(v))
+                  for u, v in ((1, 1), (2, 2), (3, 3))])
 
 
 @pytest.fixture(scope="session")

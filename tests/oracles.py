@@ -11,6 +11,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 _LOG2 = math.log2
 
 
@@ -75,6 +77,17 @@ def minimal_frame_log2(levels: int) -> list[tuple[float, float]]:
 def _log2_sum(a: float, b: float) -> float:
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + _LOG2(1.0 + 2.0 ** (lo - hi))
+
+
+def pair_two_stall_probability(kmax: int = 10 ** 5) -> float:
+    """sum_k p_k F(k)^k for the inverse-square law, truncated at k = kmax.
+
+    p_k = 1/(C k^2) with C = pi^2/6 and F its CDF.  The dropped terms are
+    at most sum_{k > kmax} p_k < 1/(C kmax), about 6.1e-6 at the default.
+    """
+    k = np.arange(1, kmax + 1, dtype=np.float64)
+    p = 1.0 / (math.pi ** 2 / 6 * k * k)
+    return math.fsum(p * np.cumsum(p) ** k)
 
 
 def independent_record_check(symbols, seqs) -> None:

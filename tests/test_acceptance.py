@@ -14,20 +14,15 @@ import numpy as np
 import pytest
 
 from rifs_lab import (
-    Frame,
     ProbVector,
-    SceneryPath,
     bowen_parameter,
     build_branch_profile,
     expected_log_fitness,
     mauldin_dimension,
     minimal_frame,
     osc_check,
-    record_sequences,
     sample_scenery,
     scenery_csv,
-    validate_spec,
-    zeta_probability,
 )
 from rifs_lab.cover import enumerate_cylinders, step_flags
 from rifs_lab.pressure import (
@@ -36,6 +31,8 @@ from rifs_lab.pressure import (
     run_seed,
     time_exponent,
 )
+from rifs_lab.rifs import validate_spec, zeta_probability
+from rifs_lab.sampler import record_sequences
 
 from conftest import DATA, frame_family_doc, two_ifs_doc
 from oracles import brute_force_refined_sum, independent_record_check
@@ -73,13 +70,11 @@ def test_criterion_2_counterexample_bowen_parameter():
 
 
 @pytest.fixture(scope="module")
-def pseudo_sweep():
+def pseudo_sweep(pseudo_frame):
     """Criterion 3/8 sweep: pseudo-frame enumerations for d in {1, 2}, m <= 14."""
-    frame = Frame.explicit([(1, 1), (2, 2), (3, 3)], validate=False)
     sweep = {}
     for d in (1, 2):
-        path = SceneryPath(np.asarray([1, 2, 3, 1, 2], dtype=np.int64), seed=0)
-        profile = build_branch_profile(path, frame, d)
+        profile = build_branch_profile((1, 2, 3, 1, 2), pseudo_frame, d)
         cubes = {m: enumerate_cylinders(profile, m, budget=2 ** 20)
                  for m in range(1, 15)}
         sweep[d] = (profile, cubes)
@@ -128,7 +123,7 @@ def test_criterion_5_subsequence_bound():
             assert chk.lhs <= -t * LN2 + jb_over_m * LN2 + 1e-12, (seed, st.n, t)
             assert chk.holds, (seed, st.n, t)
             times_checked += 1
-        for st in run.result.times:
+        for st in run.times:
             if st.n >= 2:
                 assert ratio_floor_holds(run.profile, st, spec.frame), (seed, st.n)
                 floors_checked += 1
@@ -149,7 +144,7 @@ def test_criterion_6_dimension_gap_at_desk_scale():
         run = run_seed(spec, seed, pinned["horizon"], pinned["pairs"], ())
         estimates[seed] = {
             "estimate": run.estimate,
-            "exponents": [time_exponent(run.profile, st) for st in run.result.times],
+            "exponents": [time_exponent(run.profile, st) for st in run.times],
         }
 
     below = sum(1 for v in estimates.values() if v["estimate"] < 0.2)

@@ -5,14 +5,12 @@ import pytest
 from rifs_lab import (
     MauldinDomainError,
     bowen_parameter,
-    counterexample_ifs,
     expected_log_fitness,
-    log_fitness,
     mauldin_dimension,
     minimal_frame,
-    validate_spec,
 )
-from rifs_lab.rifs import IFSDescriptor, MapAggregate
+from rifs_lab.bowen import log_fitness
+from rifs_lab.rifs import IFSDescriptor, MapAggregate, counterexample_ifs, validate_spec
 
 from conftest import frame_family_doc
 
@@ -88,7 +86,7 @@ class TestExpectedLogFitness:
         assert verdict.kind == "diverges_plus"
 
     def test_partial_sum_matches_direct_accumulation_small_m(self, frame_family_spec):
-        from rifs_lab import zeta_probability
+        from rifs_lab.rifs import zeta_probability
 
         t, M = 0.75, 5
         direct = math.fsum(

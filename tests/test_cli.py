@@ -1,10 +1,11 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rifs_lab import pressure
+from rifs_lab import cli, pressure
 from rifs_lab.cli import main
 
 from conftest import frame_family_doc, two_ifs_doc
@@ -248,14 +249,22 @@ class TestCoverCommand:
         assert set(rows) == {tuple(float(x) for x in c) for c in brute_force_cubes(flags, 2)}
 
     def test_points_past_float_range(self, capsys):
-        # corner numerator 2^1998 has no float; its coordinate 1/4 does
+        # corner numerator 2^1068 has no float; its coordinate 1/4 does, and
+        # the side 2^-1070 is a nonzero subnormal
         code, out = run(capsys, "cover", "points", "--symbols", "1,3", "--d", "1",
-                        "--depth", "2000")
+                        "--depth", "1070")
         assert code == 0
-        rows = [float(line.split(",")[0]) for line in out.split("\n")[1:-1]]
-        flags = [False, True] + [False] * 1998
-        assert rows == sorted(float(x) for (x,) in brute_force_cubes(flags, 1))
-        assert rows == [0.0, 0.25]
+        rows = [[float(x) for x in line.split(",")] for line in out.split("\n")[1:-1]]
+        flags = [False, True] + [False] * 1068
+        assert [x for x, _ in rows] == sorted(float(x) for (x,) in brute_force_cubes(flags, 1))
+        assert rows == [[0.0, 2.0 ** -1070], [0.25, 2.0 ** -1070]]
+
+    @pytest.mark.parametrize("depth", ["1075", "2000"])
+    def test_points_past_smallest_side_rejected(self, capsys, depth):
+        # from depth 1075 on the side 2^-depth rounds to 0.0
+        code, doc = run_json(capsys, "cover", "points", "--symbols", "1,3", "--d", "1",
+                             "--depth", depth)
+        assert code == 2 and "depth <= 1074" in doc["error"]
 
     def test_points_csv(self, capsys):
         code, out = run(capsys, "cover", "points", "--symbols", "1,1",
@@ -331,3 +340,11 @@ class TestSchemaDiscipline:
         ):
             _, doc = run_json(capsys, *argv)
             assert doc["schema"] == "rifs-lab/1"
+
+    def test_emit_streams_the_same_bytes_as_dumps(self, tmp_path):
+        doc = {"b": [1.5, -0.0, repr(math.inf), repr(-math.inf), [[1, 2], []]],
+               "a": {"z": True, "y": False, "x": None}, "c": 1e-320}
+        out = tmp_path / "doc.json"
+        cli._emit(doc, out)
+        want = json.dumps({"schema": cli.SCHEMA, **doc}, indent=2, sort_keys=True) + "\n"
+        assert out.read_text() == want

@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rifs_lab import Frame, SceneryPath, build_branch_profile, minimal_frame
+from rifs_lab import build_branch_profile, minimal_frame
 from rifs_lab.cover import (
     BudgetError,
     CylinderCode,
-    UnsupportedDimensionError,
+    PointExportError,
     box_exponents,
     cylinder_to_cube,
     emit_points,
@@ -20,15 +20,6 @@ from rifs_lab.cover import (
 from rifs_lab.pressure import refined_log_sum
 
 from oracles import brute_force_cubes
-
-
-def path_of(*symbols) -> SceneryPath:
-    return SceneryPath(np.asarray(symbols, dtype=np.int64), seed=0)
-
-
-@pytest.fixture(scope="module")
-def pseudo_frame():
-    return Frame.explicit([(1, 1), (2, 2), (3, 3)], validate=False)
 
 
 class TestCylinderToCube:
@@ -66,20 +57,20 @@ class TestCylinderToCube:
 
 class TestEnumerateCylinders:
     def test_two_cubes_after_one_branch(self, frame5):
-        profile = build_branch_profile(path_of(1, 1), frame5, 1)
+        profile = build_branch_profile((1, 1), frame5, 1)
         cubes = enumerate_cylinders(profile, 2)
         assert cubes.tolist() == [[0], [1]]
         assert {(c / 4, c / 4 + 0.25) for c in cubes[:, 0].tolist()} \
             == {(0.0, 0.25), (0.25, 0.5)}
 
     def test_corner_only_prefix_single_cube(self, frame5):
-        profile = build_branch_profile(path_of(2,), frame5, 1)
+        profile = build_branch_profile((2,), frame5, 1)
         cubes = enumerate_cylinders(profile, 8)
         assert cubes.tolist() == [[0]]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_count_always_matches_branch_total(self, pseudo_frame, d):
-        profile = build_branch_profile(path_of(1, 2, 3, 2), pseudo_frame, d)
+        profile = build_branch_profile((1, 2, 3, 2), pseudo_frame, d)
         for m in range(1, 15):
             flags = step_flags(profile, m)
             cubes = enumerate_cylinders(profile, m, budget=2 ** 22)
@@ -87,18 +78,18 @@ class TestEnumerateCylinders:
 
     def test_long_run_beyond_depth_not_materialised(self, frame5):
         # the level-4 single-map run has ~1.7e14 steps; three are needed
-        profile = build_branch_profile(path_of(1, 4), frame5, 1)
+        profile = build_branch_profile((1, 4), frame5, 1)
         assert step_flags(profile, 3) == [False, True, False]
         assert enumerate_cylinders(profile, 3).tolist() == [[0], [2]]
 
     def test_budget_error_names_required(self, pseudo_frame):
-        profile = build_branch_profile(path_of(3, 3, 3, 3), pseudo_frame, 2)
+        profile = build_branch_profile((3, 3, 3, 3), pseudo_frame, 2)
         with pytest.raises(BudgetError) as err:
             enumerate_cylinders(profile, 20, budget=64)
         assert err.value.required == 2 ** (2 * 9)
 
     def test_lexicographic_order_is_deterministic(self, pseudo_frame):
-        profile = build_branch_profile(path_of(2, 2), pseudo_frame, 1)
+        profile = build_branch_profile((2, 2), pseudo_frame, 1)
         a = enumerate_cylinders(profile, 8)
         b = enumerate_cylinders(profile, 8)
         assert np.array_equal(a, b)
@@ -107,7 +98,7 @@ class TestEnumerateCylinders:
 
     def test_rows_follow_word_order_d2(self, pseudo_frame):
         # row i is the i-th word of itertools.product; the CLI bytes depend on it
-        profile = build_branch_profile(path_of(1, 2, 3), pseudo_frame, 2)
+        profile = build_branch_profile((1, 2, 3), pseudo_frame, 2)
         m = 9
         flags = step_flags(profile, m)
         words = itertools.product(*[
@@ -121,7 +112,7 @@ class TestEnumerateCylinders:
     @pytest.mark.parametrize("m, dtype", [(62, np.int64), (63, object), (100, object)])
     def test_depth_picks_exact_dtype(self, frame5, m, dtype):
         # one branching step at depth 2, then the level-3 single-map run
-        profile = build_branch_profile(path_of(1, 3), frame5, 2)
+        profile = build_branch_profile((1, 3), frame5, 2)
         cubes = enumerate_cylinders(profile, m)
         assert cubes.dtype == dtype
         flags = step_flags(profile, m)
@@ -129,7 +120,7 @@ class TestEnumerateCylinders:
         assert got == brute_force_cubes(flags, 2)
 
     def test_matches_fraction_oracle(self, pseudo_frame):
-        profile = build_branch_profile(path_of(1, 2, 3), pseudo_frame, 2)
+        profile = build_branch_profile((1, 2, 3), pseudo_frame, 2)
         m = 9
         flags = step_flags(profile, m)
         got = {
@@ -156,14 +147,14 @@ class TestOSC:
         assert osc_check(cubes[:3])
 
     def test_all_enumerations_pass(self, pseudo_frame):
-        profile = build_branch_profile(path_of(1, 2, 3, 1), pseudo_frame, 1)
+        profile = build_branch_profile((1, 2, 3, 1), pseudo_frame, 1)
         for m in range(1, 14):
             assert osc_check(enumerate_cylinders(profile, m, budget=2 ** 22))
 
 
 class TestNesting:
     def test_every_child_in_exactly_one_parent(self, pseudo_frame):
-        profile = build_branch_profile(path_of(1, 2, 3), pseudo_frame, 2)
+        profile = build_branch_profile((1, 2, 3), pseudo_frame, 2)
         for m in range(1, 12):
             parents = set(map(tuple, enumerate_cylinders(profile, m, budget=2 ** 22).tolist()))
             children = enumerate_cylinders(profile, m + 1, budget=2 ** 22)
@@ -174,7 +165,7 @@ class TestNesting:
 class TestCoverSumIdentity:
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0])
     def test_geometric_sum_equals_symbolic(self, pseudo_frame, t):
-        profile = build_branch_profile(path_of(1, 2, 3, 1), pseudo_frame, 1)
+        profile = build_branch_profile((1, 2, 3, 1), pseudo_frame, 1)
         for m in range(1, 13):
             cubes = enumerate_cylinders(profile, m, budget=2 ** 22)
             geometric = math.fsum((2.0 ** -m) ** t for _ in cubes)
@@ -184,31 +175,31 @@ class TestCoverSumIdentity:
 
 class TestBoxExponents:
     def test_alternating_path_exponent_half(self, frame5):
-        profile = build_branch_profile(path_of(*([1] * 10)), frame5, 1)
+        profile = build_branch_profile([1] * 10, frame5, 1)
         pairs = box_exponents(profile, [2 * n for n in range(1, 11)])
         for _, e in pairs:
             assert e == pytest.approx(0.5, rel=1e-12)
 
     def test_corner_run_decreases_exponent(self, frame5):
-        profile = build_branch_profile(path_of(1, 2), frame5, 1)
+        profile = build_branch_profile((1, 2), frame5, 1)
         # branch-run end at m=2, then the level-2 corner run begins
         (_, at_branch_end), (_, inside_corner) = box_exponents(profile, [2, 6])
         assert inside_corner < at_branch_end
 
     def test_mixed_path_exponent(self, frame5):
-        profile = build_branch_profile(path_of(1, 2), frame5, 1)
+        profile = build_branch_profile((1, 2), frame5, 1)
         [(_, e)] = box_exponents(profile, [10])
         assert e == pytest.approx(0.1, rel=1e-12)
 
     def test_exponents_within_ambient_dimension(self, pseudo_frame):
-        profile = build_branch_profile(path_of(3, 2, 1), pseudo_frame, 2)
+        profile = build_branch_profile((3, 2, 1), pseudo_frame, 2)
         for _, e in box_exponents(profile, list(range(1, 13))):
             assert 0.0 <= e <= 2.0
 
     def test_promoted_depth_in_log_space(self):
         # level 12 entries are promoted (~253000 bits) but log2 stays sharp
         frame = minimal_frame(2)
-        profile = build_branch_profile(path_of(12,), frame, 1)
+        profile = build_branch_profile((12,), frame, 1)
         assert not profile.runs[0].flat_len.is_exact
         m = profile.j_of_run(1)
         [(_, e)] = box_exponents(profile, [m])
@@ -218,7 +209,7 @@ class TestBoxExponents:
         # at level 30 the log2 ulp (~0.016) swamps the true gap; the clamp
         # keeps the reported exponent inside [0, d]
         frame = minimal_frame(2)
-        profile = build_branch_profile(path_of(30,), frame, 1)
+        profile = build_branch_profile((30,), frame, 1)
         m = profile.j_of_run(1)
         [(_, e)] = box_exponents(profile, [m])
         assert 0.9 <= e <= 1.0
@@ -226,7 +217,7 @@ class TestBoxExponents:
 
 class TestEmitPoints:
     def test_rows_and_header_d1(self, frame5):
-        profile = build_branch_profile(path_of(1, 1), frame5, 1)
+        profile = build_branch_profile((1, 1), frame5, 1)
         cubes = enumerate_cylinders(profile, 2)
         text = emit_points(cubes, 2)
         lines = text.strip().split("\n")
@@ -242,11 +233,11 @@ class TestEmitPoints:
         assert len(lines) == 5
 
     def test_rejects_high_dimensions(self):
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(PointExportError):
             emit_points(np.zeros((1, 4), dtype=np.int64), 0)
 
     def test_both_dtypes_emit_the_same_bytes(self, pseudo_frame):
-        profile = build_branch_profile(path_of(1, 2, 3), pseudo_frame, 2)
+        profile = build_branch_profile((1, 2, 3), pseudo_frame, 2)
         cubes = enumerate_cylinders(profile, 9)
         text = emit_points(cubes, 9)
         assert emit_points(cubes.astype(object), 9) == text

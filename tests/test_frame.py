@@ -201,9 +201,9 @@ class TestSerialization:
 
 
 class TestPseudoFrames:
-    def test_bypass_flag_admits_small_pairs(self):
-        pf = Frame.explicit([(1, 1), (2, 2), (3, 3)], validate=False)
-        assert pf.entry(3).v.as_int() == 3
+    def test_bypass_flag_admits_small_pairs(self, pseudo_frame):
+        # the plain constructor is the bypass: it takes levels as given
+        assert pseudo_frame.entry(3).v.as_int() == 3
 
     def test_production_path_rejects_them(self):
         with pytest.raises(FrameError):

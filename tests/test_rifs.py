@@ -8,15 +8,17 @@ from rifs_lab import (
     ProbVector,
     SpecValidationError,
     check_bowen_hypothesis,
-    counterexample_ifs,
     load_spec,
     sample_scenery,
     scenery_csv,
+)
+from rifs_lab.rifs import (
+    INVERSE_SQUARE_C,
+    counterexample_ifs,
     validate_spec,
     zeta_probability,
     zeta_tail,
 )
-from rifs_lab.rifs import INVERSE_SQUARE_C
 
 from conftest import DATA, two_ifs_doc
 
@@ -80,12 +82,12 @@ class TestCounterexampleIFS:
     def test_level_one_d_one(self, frame5):
         desc = counterexample_ifs(frame5, 1, 1)
         assert desc.map_count().as_int() == 2
-        assert desc.ratio_log2_magnitude().as_int() == 2
+        assert desc.u.as_int() + desc.v.as_int() == 2  # ratio 2^-(U+V)
 
     def test_level_two_d_one(self, frame5):
         desc = counterexample_ifs(frame5, 1, 2)
         assert desc.map_count().as_int() == 65536
-        assert desc.ratio_log2_magnitude().as_int() == 24
+        assert desc.u.as_int() + desc.v.as_int() == 24
 
     def test_level_one_d_two(self, frame5):
         desc = counterexample_ifs(frame5, 2, 1)

@@ -4,20 +4,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rifs_lab import sampler
 from rifs_lab import (
     ProbVector,
     RareTailError,
-    SceneryPath,
     domination_start,
-    record_sequences,
     sample_scenery,
+    sampler,
     scenery_csv,
-    zeta_probability,
 )
+from rifs_lab.rifs import zeta_probability
+from rifs_lab.sampler import SceneryPath, record_sequences
 
 from conftest import DATA
-from oracles import independent_record_check, record_pairs_reference
+from oracles import independent_record_check, pair_two_stall_probability, record_pairs_reference
 
 GOLDEN_SEED42 = [3, 1, 4, 2, 1, 25, 3, 3, 1, 1]
 
@@ -59,9 +58,10 @@ class TestSampling:
         sigma = math.sqrt(p1 * (1 - p1) / 200_000)
         assert float(np.mean(path.symbols == 1)) == pytest.approx(p1, abs=3 * sigma)
 
-    def test_rare_tail_abort_names_variate(self, inverse_square):
+    def test_rare_tail_abort_names_variate(self, inverse_square, monkeypatch):
+        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", "10")
         with pytest.raises(RareTailError) as err:
-            sample_scenery(inverse_square, 100, seed=0, max_symbol=10)
+            sample_scenery(inverse_square, 100, seed=0)
         assert 0.0 < err.value.variate < 1.0
         assert err.value.cap == 10
 
@@ -77,7 +77,7 @@ class TestSampling:
             path.head(3)[0] = 99
         assert inversions == [3]
         with pytest.raises(ValueError):
-            path.prefix(5).symbols[0] = 99
+            path.head(5)[0] = 99
         with pytest.raises(ValueError):
             path.symbols[0] = 99
 
@@ -119,10 +119,10 @@ class TestLazyInversion:
                 continue
             seqs = record_sequences(lazy, 3)
             last = max((p.position for p in seqs.pairs), default=1)
-            head = lazy.prefix(last).symbols
+            head = lazy.head(last)
             full = SceneryPath(sample_scenery(inverse_square, 100_000, seed=seed).symbols, seed)
             assert record_sequences(full, 3) == seqs
-            assert (full.prefix(last).symbols == head).all()
+            assert (full.head(last) == head).all()
             checked += 1
         assert checked >= 180
 
@@ -207,6 +207,25 @@ class TestRecordSequences:
             path = sample_scenery(inverse_square, 2000, seed=seed)
             seqs = record_sequences(path, 3)
             independent_record_check(path.symbols, seqs)
+
+    def test_pair_two_stall_rate_matches_the_law(self, inverse_square):
+        # pre-registered: seeds 0..3999 at horizon 10^4, 4 binomial SDs;
+        # seeds that draw past the symbol cap are excluded and counted
+        law = pair_two_stall_probability()
+        assert law == pytest.approx(0.591155, abs=1e-6)
+        stalled = completed = rare = 0
+        for seed in range(4000):
+            try:
+                path = sample_scenery(inverse_square, 10_000, seed=seed)
+            except RareTailError:
+                rare += 1
+                continue
+            seqs = record_sequences(path, 2)
+            completed += 1
+            stalled += seqs.degenerate and len(seqs.pairs) == 1
+        assert rare < 100
+        sd = math.sqrt(law * (1 - law) / completed)
+        assert abs(stalled / completed - law) <= 4 * sd, (stalled, completed, rare)
 
 
 @pytest.fixture(scope="module")
