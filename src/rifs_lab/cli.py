@@ -53,17 +53,15 @@ def _fail(message: str, detail: dict | None = None) -> int:
     return 2
 
 
-def _parse_seeds(args: argparse.Namespace) -> list[int]:
-    if args.seeds:
-        base_str, _, count_str = args.seeds.partition(":")
-        try:
-            base, count = int(base_str), int(count_str or "1")
-        except ValueError:
-            raise SpecValidationError(f"--seeds expects BASE:COUNT, got {args.seeds!r}")
-        if count < 1:
-            raise SpecValidationError("--seeds count must be >= 1")
-        return [base + i for i in range(count)]
-    return [args.seed]
+def _parse_seeds(text: str) -> list[int]:
+    base_str, _, count_str = text.partition(":")
+    try:
+        base, count = int(base_str), int(count_str or "1")
+    except ValueError:
+        raise SpecValidationError(f"--seeds expects BASE:COUNT, got {text!r}")
+    if count < 1:
+        raise SpecValidationError("--seeds count must be >= 1")
+    return [base + i for i in range(count)]
 
 
 def _parse_list(text: str, kind: type, flag: str) -> list:
@@ -80,31 +78,20 @@ def _parse_list(text: str, kind: type, flag: str) -> list:
 def cmd_frame(args: argparse.Namespace) -> int:
     if args.frame_cmd == "gen":
         if args.levels < 1:
-            return _fail("--levels must be >= 1")
-        try:
-            slack = tuple(args.slack) if args.slack else None
-            frame = minimal_frame(args.levels, slack=slack)
-        except FrameError as exc:
-            return _fail(str(exc))
-        doc = {"frame": frame.to_doc(), "entries": _frame_entries(frame)}
-        _emit(doc, args.out)
+            raise SpecValidationError("--levels must be >= 1")
+        frame = minimal_frame(args.levels, slack=tuple(args.slack) if args.slack else None)
+        _emit({"frame": frame.to_doc(), "entries": _frame_entries(frame)}, args.out)
         return 0
 
     try:
         doc = json.loads(Path(args.path).read_text())
-    except OSError as exc:
-        return _fail(str(exc))
     except json.JSONDecodeError as exc:
-        return _fail(f"not valid JSON: {exc}")
-    try:
-        if isinstance(doc, dict):
-            frame_from_doc(doc)
-            _emit({"valid": True, "rule": doc.get("rule")})
-            return 0
-        pairs = frame_pairs(doc)
-    except FrameError as exc:
-        return _fail(str(exc))
-    report = validate_frame(pairs)
+        raise FrameError(f"not valid JSON: {exc}") from exc
+    if isinstance(doc, dict):
+        frame_from_doc(doc)
+        _emit({"valid": True, "rule": doc.get("rule")})
+        return 0
+    report = validate_frame(frame_pairs(doc))
     _emit(report.to_dict())
     return 0 if report.valid else 1
 
@@ -125,17 +112,12 @@ def _frame_entries(frame: Frame) -> list[dict]:
 
 
 def cmd_dimensions(args: argparse.Namespace) -> int:
-    try:
-        spec = load_spec(Path(args.config).read_text())
-    except (SpecValidationError, FrameError, OSError) as exc:
-        return _fail(str(exc))
+    spec = load_spec(Path(args.config).read_text())
+    if not args.tol > 0 or args.truncation < 1:
+        raise SpecValidationError("--tol must be > 0 and --truncation >= 1")
 
-    report: dict = {"tolerance": args.tol, "truncation": args.truncation}
-    try:
-        report["bowen"] = bowen.bowen_parameter(spec, tol=args.tol,
-                                                truncation=args.truncation)
-    except bowen.UnboundedDimensionError as exc:
-        return _fail(str(exc))
+    report: dict = {"tolerance": args.tol, "truncation": args.truncation,
+                    "bowen": bowen.bowen_parameter(spec, tol=args.tol, truncation=args.truncation)}
     try:
         report["mauldin"] = bowen.mauldin_dimension(spec, tol=args.tol)
     except (bowen.MauldinDomainError, bowen.UnboundedDimensionError):
@@ -201,20 +183,16 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    try:
-        spec = load_spec(Path(args.config).read_text())
-        seeds = _parse_seeds(args)
-        t_grid = _parse_list(args.t_grid, float, "--t-grid") if args.t_grid else [0.0, 0.5, 1.0]
-        sampler.max_symbol_cap()  # a malformed cap fails the command, not each seed
-    except (SpecValidationError, FrameError, OSError) as exc:
-        return _fail(str(exc))
+    spec = load_spec(Path(args.config).read_text())
+    seeds = _parse_seeds(args.seeds)
+    t_grid = _parse_list(args.t_grid, float, "--t-grid")
+    sampler.max_symbol_cap()  # a malformed cap fails the command, not each seed
     if not spec.is_frame_family:
-        return _fail("the counterexample experiment needs a frame-family config")
-
+        raise SpecValidationError("the counterexample experiment needs a frame-family config")
     if args.horizon < 1 or args.pairs < 1:
-        return _fail("--horizon and --pairs must be >= 1")
+        raise SpecValidationError("--horizon and --pairs must be >= 1")
     if min(seeds) < 0 or min(t_grid) < 0:
-        return _fail("seeds and --t-grid values must be >= 0")
+        raise SpecValidationError("seeds and --t-grid values must be >= 0")
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,35 +261,22 @@ def _profile_from_args(args: argparse.Namespace):
     if args.frame:
         frame = frame_from_doc(json.loads(Path(args.frame).read_text()))
     else:
-        frame = minimal_frame(args.levels)
+        frame = minimal_frame(1)  # generated frames extend on demand
     return pressure.build_branch_profile(symbols, frame, args.d)
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    try:
-        profile = _profile_from_args(args)
-    except (SpecValidationError, FrameError, json.JSONDecodeError, OSError) as exc:
-        return _fail(str(exc))
-
+    profile = _profile_from_args(args)
     if args.cover_cmd == "exponents":
         depths = _parse_list(args.depths, int, "--depths")
         if min(depths) < 0:
-            return _fail("--depths values must be >= 0")
-        try:
-            pairs = cover.box_exponents(profile, depths)
-        except pressure.CoverageError as exc:
-            return _fail(str(exc))
+            raise SpecValidationError("--depths values must be >= 0")
+        pairs = cover.box_exponents(profile, depths)
         lines = ["m,exponent"] + [f"{m},{e!r}" for m, e in pairs]
         _write_text("\n".join(lines) + "\n", args.out, rows=len(pairs))
         return 0
 
-    try:
-        corners = cover.enumerate_cylinders(profile, args.depth, budget=args.budget)
-    except cover.BudgetError as exc:
-        return _fail(str(exc), {"required_budget": exc.required})
-    except pressure.CoverageError as exc:
-        return _fail(str(exc))
-
+    corners = cover.enumerate_cylinders(profile, args.depth, budget=args.budget)
     if args.cover_cmd == "enum":
         _emit({
             "depth": args.depth,
@@ -321,11 +286,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         }, args.out)
         return 0
 
-    try:
-        text = cover.emit_points(corners, args.depth)
-    except cover.PointExportError as exc:
-        return _fail(str(exc))
-    _write_text(text, args.out, rows=len(corners))
+    _write_text(cover.emit_points(corners, args.depth), args.out, rows=len(corners))
     return 0
 
 
@@ -334,18 +295,12 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.horizon < 1 or args.seed < 0:
-        return _fail("--horizon must be >= 1 and --seed >= 0")
-    try:
-        if args.config:
-            spec = load_spec(Path(args.config).read_text())
-            probs = spec.probabilities
-        else:
-            probs = ProbVector("inverse_square")
-        path = sampler.sample_scenery(probs, args.horizon, args.seed)
-    except (SpecValidationError, FrameError, OSError) as exc:
-        return _fail(str(exc))
-    except sampler.RareTailError as exc:
-        return _fail(str(exc), {"variate": exc.variate, "cap": exc.cap})
+        raise SpecValidationError("--horizon must be >= 1 and --seed >= 0")
+    if args.config:
+        probs = load_spec(Path(args.config).read_text()).probabilities
+    else:
+        probs = ProbVector("inverse_square")
+    path = sampler.sample_scenery(probs, args.horizon, args.seed)
     # scanned before the CSV text is built: its temporaries, freed next to
     # that text, raised peak RSS by 8 MiB at 10^6 rows
     start = sampler.domination_start(path)
@@ -368,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_frame = sub.add_parser("frame", help="generate or validate frames")
     frame_sub = p_frame.add_subparsers(dest="frame_cmd", required=True)
     p_gen = frame_sub.add_parser("gen", help="generate a frame with tight axioms")
-    p_gen.add_argument("--minimal", action="store_true",
-                       help="tight growth rule (the default)")
     p_gen.add_argument("--levels", type=int, required=True)
     p_gen.add_argument("--slack", type=int, nargs=2, metavar=("SU", "SV"),
                        help="multipliers on the tight choices")
@@ -388,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce = sub.add_parser("counterexample",
                           help="per-seed dimension-drop experiment")
     p_ce.add_argument("config", help="frame-family config JSON")
-    p_ce.add_argument("--seed", type=int, default=0)
-    p_ce.add_argument("--seeds", help="BASE:COUNT expansion")
+    p_ce.add_argument("--seeds", default="0", metavar="BASE[:COUNT]",
+                      help="seeds BASE..BASE+COUNT-1 (COUNT defaults to 1)")
     p_ce.add_argument("--horizon", type=int, default=10_000)
     p_ce.add_argument("--pairs", type=int, default=2,
                       help="record pairs (special times) per seed")
@@ -406,16 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         pc = cov_sub.add_parser(name, help=helptext)
         pc.add_argument("--symbols", required=True, help="comma-separated prefix")
-        pc.add_argument("--levels", type=int, default=8,
-                        help="minimal-frame depth when no frame file is given")
-        pc.add_argument("--frame", help="frame file (JSON)")
+        pc.add_argument("--frame", help="frame file (JSON); default the minimal frame")
         pc.add_argument("--d", type=int, default=1)
-        pc.add_argument("--budget", type=int, default=cover.DEFAULT_BUDGET)
         pc.add_argument("--out", type=Path)
         if name == "exponents":
             pc.add_argument("--depths", required=True, help="comma-separated depths")
         else:
             pc.add_argument("--depth", type=int, required=True)
+            pc.add_argument("--budget", type=int, default=cover.DEFAULT_BUDGET)
     p_cov.set_defaults(func=cmd_cover)
 
     p_sam = sub.add_parser("sample", help="sample a scenery to CSV")
@@ -428,12 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Errors caused by outside input (a config, a flag, a frame file, an output
+#: path) that end a command in an ``{"error": ...}`` document with exit 2.
+#: Anything else is a fault of the program and propagates.
+_INPUT_ERRORS = (SpecValidationError, FrameError, OSError, json.JSONDecodeError,
+                 pressure.CoverageError, cover.PointExportError,
+                 bowen.UnboundedDimensionError)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecValidationError as exc:
+    except cover.BudgetError as exc:
+        return _fail(str(exc), {"required_budget": exc.required})
+    except sampler.RareTailError as exc:
+        return _fail(str(exc), {"variate": exc.variate, "cap": exc.cap})
+    except _INPUT_ERRORS as exc:
         return _fail(str(exc))
 
 

@@ -226,7 +226,8 @@ class HypothesisReport:
         return {"holds": self.holds, "reasons": list(self.reasons)}
 
 
-#: Frame levels compared against level 1 by :func:`check_bowen_hypothesis`.
+#: Frame levels that :func:`check_bowen_hypothesis` compares under
+#: inverse-square probabilities; a finite vector's support is compared whole.
 _PROBE_LEVELS = 8
 
 
@@ -239,26 +240,23 @@ def check_bowen_hypothesis(spec: RIFSSpec) -> HypothesisReport:
     as not applicable.
     """
     reasons: list[str] = []
+    finite = spec.probabilities.is_finite
     if spec.is_frame_family:
-        depth = max(2, min(_PROBE_LEVELS, len(spec.frame)))
-        base = spec.descriptor(1)
-        for i in range(2, depth + 1):
+        first, *rest = spec.probabilities.support() if finite else range(1, _PROBE_LEVELS + 1)
+        base = spec.descriptor(first)
+        for i in rest:
             other = spec.descriptor(i)
             if other.v != base.v:
                 reasons.append(
-                    f"map counts differ between levels 1 and {i} "
+                    f"map counts differ between levels {first} and {i} "
                     f"({_count_label(base)} vs {_count_label(other)})"
                 )
                 break
         holds = not reasons
-        if holds:
+        if holds and not finite:
             reasons.append("probed levels share one map count; deeper levels unchecked")
     else:
-        support = (
-            spec.probabilities.support()
-            if spec.probabilities.is_finite
-            else list(range(1, len(spec.ifs) + 1))
-        )
+        support = spec.probabilities.support() if finite else range(1, len(spec.ifs) + 1)
         counts = {}
         for i in support:
             counts[i] = sum(a.multiplicity for a in spec.descriptor(i).aggregates)
@@ -386,10 +384,17 @@ def validate_spec(doc: dict) -> RIFSSpec:
         eta = float(doc["eta"]) if "eta" in doc else _default_eta(max_ratio)
         if not 0.0 < eta < 1.0:
             raise SpecValidationError(f"eta must lie in (0, 1), got {eta}")
-        if probs.is_finite and len(probs.support()) > len(frame) and not frame.is_generated:
-            raise SpecValidationError(
-                "probability support extends beyond the explicit frame depth"
-            )
+        if not frame.is_generated:
+            if not probs.is_finite:
+                raise SpecValidationError(
+                    "inverse-square probabilities charge every level, past the "
+                    f"explicit frame's last level {len(frame)}"
+                )
+            if max(probs.support()) > len(frame):
+                raise SpecValidationError(
+                    f"probabilities charge level {max(probs.support())}, past the "
+                    f"explicit frame's last level {len(frame)}"
+                )
         return RIFSSpec(probabilities=probs, kind="frame", frame=frame, d=d, eta=eta)
 
     raise SpecValidationError(f"unknown family kind {fam_kind!r}")

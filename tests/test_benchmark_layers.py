@@ -49,7 +49,7 @@ def test_tracer_reads_cover_layers(capsys, tmp_path):
     lib = {n: importlib.import_module(f"rifs_lab.{n}") for n in MODULES}
     cover = lib["cover"]
     originals = (cover.enumerate_cylinders, cover.osc_check, cover.emit_points)
-    common = ["--symbols", "1,1,1", "--d", "2", "--depth", "6", "--levels", "4"]
+    common = ["--symbols", "1,1,1", "--d", "2", "--depth", "6"]
     points = tmp_path / "points.csv"
     tracer = tracing.Tracer()
     try:

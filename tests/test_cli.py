@@ -40,7 +40,7 @@ def frame_family_path(tmp_path):
 
 class TestFrameCommand:
     def test_gen_minimal_three_levels(self, capsys):
-        code, doc = run_json(capsys, "frame", "gen", "--minimal", "--levels", "3")
+        code, doc = run_json(capsys, "frame", "gen", "--levels", "3")
         assert code == 0
         assert doc["schema"] == "rifs-lab/1"
         assert doc["frame"] == {"rule": "minimal", "levels": 3}
@@ -117,7 +117,7 @@ class TestCounterexampleCommand:
         for name in ("a", "b"):
             out_dir = tmp_path / name
             code, _ = run(capsys, "counterexample", frame_family_path,
-                          "--seed", "607", "--horizon", "4000", "--out", str(out_dir))
+                          "--seeds", "607", "--horizon", "4000", "--out", str(out_dir))
             assert code == 0
             outs.append((
                 (out_dir / "seed_607.csv").read_bytes(),
@@ -128,7 +128,7 @@ class TestCounterexampleCommand:
     def test_csv_columns(self, capsys, frame_family_path, tmp_path):
         out_dir = tmp_path / "cols"
         run(capsys, "counterexample", frame_family_path,
-            "--seed", "600", "--horizon", "4000", "--out", str(out_dir))
+            "--seeds", "600", "--horizon", "4000", "--out", str(out_dir))
         header = (out_dir / "seed_600.csv").read_text().splitlines()[0]
         assert header.split(",") == [
             "n", "record_pos", "record_symbol", "j_before", "m", "m_form",
@@ -183,8 +183,8 @@ class TestCounterexampleCommand:
         assert len(calls) == completed
 
     @pytest.mark.parametrize("flag, value", [
-        ("--horizon", "0"), ("--pairs", "0"), ("--t-grid", "0,-1"), ("--seed", "-1"),
-        ("--t-grid", "a"),
+        ("--horizon", "0"), ("--pairs", "0"), ("--t-grid", "0,-1"), ("--seeds", "-1"),
+        ("--t-grid", "a"), ("--t-grid", ""),
     ])
     def test_out_of_range_arguments_rejected(self, capsys, flag, value):
         code, doc = run_json(capsys, "counterexample", D1_CONFIG, flag, value)
@@ -200,15 +200,14 @@ class TestCoverCommand:
     def test_enum_pinned_count(self, capsys):
         # three unit levels at d=2: branch steps at depths 2, 4, 6
         code, doc = run_json(capsys, "cover", "enum", "--symbols", "1,1,1",
-                             "--d", "2", "--depth", "6", "--levels", "4")
+                             "--d", "2", "--depth", "6")
         assert code == 0
         assert doc["count"] == 64
         assert doc["osc"] is True
 
     def test_budget_exceeded_names_required(self, capsys):
         code, doc = run_json(capsys, "cover", "enum", "--symbols", "2,2",
-                             "--d", "1", "--depth", "48", "--levels", "4",
-                             "--budget", "16")
+                             "--d", "1", "--depth", "48", "--budget", "16")
         assert code != 0
         assert doc["required_budget"] == 2 ** 32
 
@@ -268,7 +267,7 @@ class TestCoverCommand:
 
     def test_points_csv(self, capsys):
         code, out = run(capsys, "cover", "points", "--symbols", "1,1",
-                        "--d", "1", "--depth", "2", "--levels", "4")
+                        "--d", "1", "--depth", "2")
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "x,side"
@@ -276,7 +275,7 @@ class TestCoverCommand:
 
     def test_exponent_csv(self, capsys):
         code, out = run(capsys, "cover", "exponents", "--symbols", "1,2",
-                        "--d", "1", "--depths", "2,10", "--levels", "4")
+                        "--d", "1", "--depths", "2,10")
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "m,exponent"
@@ -318,17 +317,57 @@ class TestSampleCommand:
         assert symbols <= {1, 2}
 
 
+# configs whose probabilities charge a level past a one-level explicit frame
+_PAST_EXPLICIT_FRAME = {
+    "INVERSE_SQUARE_ON_ONE_LEVEL": {"kind": "inverse_square"},
+    "LEVEL_TWO_ON_ONE_LEVEL": {"kind": "finite", "values": [0.0, 1.0]},
+}
+
+
 class TestOutsideInput:
     @pytest.mark.parametrize("argv", [
         ["frame", "validate", "MISSING"],
         ["cover", "enum", "--symbols", "1,2", "--depth", "2", "--frame", "MISSING"],
         ["cover", "enum", "--symbols", "1,2", "--depth", "2", "--d", "0"],
         ["cover", "exponents", "--symbols", "1,2", "--depths", "0,-1"],
+        ["frame", "gen", "--levels", "2", "--out", "UNWRITABLE"],
+        ["dimensions", D1_CONFIG, "--out", "UNWRITABLE"],
+        ["counterexample", D1_CONFIG, "--seeds", "600", "--horizon", "100",
+         "--out", "UNWRITABLE"],
+        ["cover", "enum", "--symbols", "1,2", "--depth", "2", "--out", "UNWRITABLE"],
+        ["cover", "exponents", "--symbols", "1,2", "--depths", "2", "--out", "UNWRITABLE"],
+        ["cover", "points", "--symbols", "1,2", "--depth", "2", "--out", "UNWRITABLE"],
+        ["sample", "--horizon", "10", "--out", "UNWRITABLE"],
+        ["dimensions", "INVERSE_SQUARE_ON_ONE_LEVEL"],
+        ["counterexample", "INVERSE_SQUARE_ON_ONE_LEVEL", "--horizon", "100"],
+        ["dimensions", "LEVEL_TWO_ON_ONE_LEVEL"],
+        ["counterexample", "LEVEL_TWO_ON_ONE_LEVEL", "--horizon", "100"],
+        ["dimensions", D1_CONFIG, "--tol", "0"],
+        ["dimensions", D1_CONFIG, "--truncation", "0"],
     ], ids=["frame-validate-missing-file", "cover-missing-frame-file", "cover-d-zero",
-            "exponents-negative-depth"])
+            "exponents-negative-depth", "frame-gen-unwritable-out",
+            "dimensions-unwritable-out", "counterexample-unwritable-out",
+            "cover-enum-unwritable-out", "cover-exponents-unwritable-out",
+            "cover-points-unwritable-out", "sample-unwritable-out",
+            "dimensions-inverse-square-past-explicit-frame",
+            "counterexample-inverse-square-past-explicit-frame",
+            "dimensions-level-two-past-explicit-frame",
+            "counterexample-level-two-past-explicit-frame",
+            "dimensions-tol-zero", "dimensions-truncation-zero"])
     def test_ends_in_error_document(self, capsys, tmp_path, argv):
-        missing = str(tmp_path / "missing.json")
-        code, doc = run_json(capsys, *[missing if a == "MISSING" else a for a in argv])
+        (tmp_path / "regular_file").write_text("")
+        paths = {
+            "MISSING": str(tmp_path / "missing.json"),
+            # a path under a regular file can be neither created nor written
+            "UNWRITABLE": str(tmp_path / "regular_file" / "out"),
+        }
+        for name, probabilities in _PAST_EXPLICIT_FRAME.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps({
+                "probabilities": probabilities,
+                "family": {"kind": "frame", "frame": [["1", "1"]], "d": 1},
+            }))
+        code, doc = run_json(capsys, *[paths.get(a, a) for a in argv])
         assert code == 2 and "error" in doc
 
 

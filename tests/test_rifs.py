@@ -142,6 +142,15 @@ class TestValidateSpec:
         with pytest.raises(SpecValidationError, match="beyond"):
             validate_spec(doc)
 
+    @pytest.mark.parametrize("probabilities", [
+        {"kind": "inverse_square"}, {"kind": "finite", "values": [0.0, 1.0]},
+    ], ids=["inverse-square", "level-two"])
+    def test_mass_beyond_explicit_frame_rejected(self, probabilities):
+        doc = {"probabilities": probabilities,
+               "family": {"kind": "frame", "frame": [["1", "1"]], "d": 1}}
+        with pytest.raises(SpecValidationError, match="past the explicit frame's last level 1"):
+            validate_spec(doc)
+
     def test_frame_family(self, frame_family_spec):
         assert frame_family_spec.is_frame_family
         assert frame_family_spec.d == 1
@@ -181,3 +190,18 @@ class TestHypothesisCheck:
             ]},
         }
         assert check_bowen_hypothesis(validate_spec(doc)).holds
+
+    @pytest.mark.parametrize("frame", [{"rule": "minimal", "levels": 1}, [["1", "1"]]],
+                             ids=["minimal-frame", "one-level-explicit-frame"])
+    def test_frame_with_one_charged_level_holds(self, frame):
+        # level 2 carries no mass, so its map count is not compared
+        doc = {"probabilities": {"kind": "finite", "values": [1.0]},
+               "family": {"kind": "frame", "frame": frame, "d": 1}}
+        assert check_bowen_hypothesis(validate_spec(doc)).holds
+
+    def test_frame_compares_charged_levels(self):
+        doc = {"probabilities": {"kind": "finite", "values": [0.5, 0.0, 0.5]},
+               "family": {"kind": "frame", "frame": {"rule": "minimal", "levels": 1}, "d": 1}}
+        report = check_bowen_hypothesis(validate_spec(doc))
+        assert not report.holds
+        assert report.reasons[0].startswith("map counts differ between levels 1 and 3")
