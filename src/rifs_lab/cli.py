@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -113,8 +114,8 @@ def _frame_entries(frame: Frame) -> list[dict]:
 
 def cmd_dimensions(args: argparse.Namespace) -> int:
     spec = load_spec(Path(args.config).read_text())
-    if not args.tol > 0 or args.truncation < 1:
-        raise SpecValidationError("--tol must be > 0 and --truncation >= 1")
+    if not (math.isfinite(args.tol) and args.tol > 0) or args.truncation < 1:
+        raise SpecValidationError("--tol must be finite and > 0, and --truncation >= 1")
 
     report: dict = {"tolerance": args.tol, "truncation": args.truncation,
                     "bowen": bowen.bowen_parameter(spec, tol=args.tol, truncation=args.truncation)}
@@ -191,8 +192,8 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         raise SpecValidationError("the counterexample experiment needs a frame-family config")
     if args.horizon < 1 or args.pairs < 1:
         raise SpecValidationError("--horizon and --pairs must be >= 1")
-    if min(seeds) < 0 or min(t_grid) < 0:
-        raise SpecValidationError("seeds and --t-grid values must be >= 0")
+    if min(seeds) < 0 or not all(math.isfinite(t) and t >= 0 for t in t_grid):
+        raise SpecValidationError("seeds must be >= 0 and --t-grid values finite and >= 0")
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

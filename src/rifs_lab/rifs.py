@@ -109,12 +109,19 @@ class ProbVector:
                     self._cdf = np.cumsum(np.asarray(self.values, dtype=np.float64))
                 else:
                     old = np.zeros(0) if self._cdf is None else self._cdf
-                    k = np.arange(len(old) + 1, n + 1, dtype=np.float64)
-                    terms = 1.0 / (INVERSE_SQUARE_C * k * k)
-                    if len(old):
-                        terms[0] += old[-1]
-                    self._cdf = np.concatenate([old, np.cumsum(terms)])
+                    self._cdf = np.concatenate(
+                        [old, self.cdf_block(len(old), n, old[-1] if len(old) else 0.0)])
             return self._cdf[:n]
+
+    @staticmethod
+    def cdf_block(lo: int, hi: int, start: float) -> np.ndarray:
+        """Inverse-square CDF over symbols lo+1..hi, accumulated onto
+        ``start``, the CDF at ``lo``; the same values as ``prefix_cdf``, not
+        cached."""
+        k = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        terms = 1.0 / (INVERSE_SQUARE_C * k * k)
+        terms[0] += start
+        return np.cumsum(terms)
 
 
 @dataclass(frozen=True)

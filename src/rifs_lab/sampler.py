@@ -7,13 +7,15 @@ CDF is a deterministic function of its length, so regeneration is
 bit-identical.
 
 Every one of the ``length`` uniforms is drawn up front, but a draw is
-inverted to its symbol only when a reader asks for a prefix that reaches
-it: the record recursion reads a few thousand symbols of a horizon-1e6
-scenery, so most draws are never inverted.  The tail rule still needs all
-of them.  A scenery whose largest draw lies beyond the CDF of the symbol
-cap aborts loudly with :class:`RareTailError` instead of being
-approximated, wherever in the horizon that draw falls, so whether a seed
-fails does not depend on how far its windows read.
+inverted only when a reader asks for a prefix that reaches it: the record
+recursion reads a few thousand symbols of a horizon-1e6 scenery.  The CDF
+kept on the vector covers at most ``_CDF_BLOCK`` symbols; the few draws past
+it are placed by blocks of the same cumsum that are dropped after use, so
+memory does not depend on how deep into the tail a seed's draws reach.  A
+scenery whose largest draw lies beyond the CDF of the symbol cap aborts
+loudly with :class:`RareTailError`, wherever that draw falls, so whether a
+seed fails does not depend on how far its windows read; the verdict is
+certified from the law's closed-form tail.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .rifs import ProbVector, SpecValidationError, zeta_tail
 DEFAULT_MAX_SYMBOL = 10 ** 6
 
 _CDF_START = 1024
+#: The CDF kept on a ProbVector stops here; draws past it are placed by
+#: blocks of this many CDF values, each computed and dropped.
+_CDF_BLOCK = 1 << 14
 
 
 class RareTailError(RuntimeError):
@@ -72,14 +77,71 @@ def _invert(draws: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return symbols
 
 
+def _covering_cdf(probs: ProbVector, umax: float, cap: int) -> np.ndarray:
+    """The CDF, doubled from ``_CDF_START`` up to ``cap``, that first covers
+    ``umax``; any covering prefix of one cumsum gives the same symbols."""
+    if probs.is_finite:
+        return probs.prefix_cdf(len(probs.values))
+    n = min(_CDF_START, cap)
+    while (cdf := probs.prefix_cdf(n))[-1] < umax and n < cap:
+        n = min(2 * n, cap)
+    return cdf
+
+
+def _symbols(draws: np.ndarray, probs: ProbVector, cap: int) -> np.ndarray:
+    """Symbols of ``draws``, read-only; an inverse-square draw past the CDF at
+    ``cap`` gets ``cap + 1``.
+
+    The CDF kept on ``probs`` covers the draws by doubling, but never past
+    ``_CDF_BLOCK`` symbols.  The rare draws beyond it are placed by blocks of
+    the same cumsum, carried onward and dropped, so memory does not depend
+    on how far into the tail a seed's draws reach.
+    """
+    umax = float(draws.max())
+    cdf = _covering_cdf(probs, umax, min(cap, _CDF_BLOCK))
+    symbols = _invert(draws, cdf)
+    if probs.is_finite or umax <= cdf[-1]:
+        return symbols
+    symbols = symbols.copy()
+    far = np.flatnonzero(draws > cdf[-1])
+    far = far[np.argsort(draws[far])]
+    lo, last = len(cdf), cdf[-1]
+    while len(far) and lo < cap:
+        hi = min(lo + _CDF_BLOCK, cap)
+        block = probs.cdf_block(lo, hi, last)
+        u = draws[far]
+        j = int(np.searchsorted(u, block[-1], side="right"))
+        symbols[far[:j]] = lo + 1 + np.searchsorted(block, u[:j], side="left")
+        far, lo, last = far[j:], hi, block[-1]
+    symbols[far] = cap + 1
+    symbols.setflags(write=False)
+    return symbols
+
+
+def _past_cap(probs: ProbVector, umax: float, cap: int) -> bool:
+    """Whether ``umax`` exceeds the inverse-square float CDF at the cap."""
+    # Past zeta_tail's fsum range, edge = 1 - zeta_tail(cap) decides without
+    # the CDF.  With u = 2^-53 the CDF's last value lies within (cap - 1) u of
+    # edge for recursive summation of partial sums below 1 (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 4.2), + 3u for the terms
+    # 1/((C k) k), + 4u for float C against zeta(2), + u for 1 - tail; the
+    # Euler-Maclaurin remainder (< 1/(42 cap^7)) is far below an ulp.  The
+    # margin is twice that sum; only a draw inside it walks the CDF to the cap.
+    if cap > 10_000:
+        edge = 1.0 - zeta_tail(cap)
+        if abs(umax - edge) > (cap + 8) * 2.0 ** -52:
+            return umax > edge
+    return _symbols(np.array([umax]), probs, cap)[0] > cap
+
+
 class SceneryPath:
     """Finite prefix of a scenery (int64 symbols >= 1) with its seed provenance.
 
     Built from explicit symbols, or by :func:`sample_scenery` from uniform
-    draws and a CDF that covers all of them.  In the second case the leading
+    draws and their probability vector.  In the second case the leading
     draws are inverted on demand, growing by doubling, so reading a prefix
-    of ``k`` symbols inverts at most ``2k`` draws.  Symbol arrays handed out
-    are read-only.
+    of ``k`` symbols inverts at most ``2k`` draws.
+    Symbol arrays handed out are read-only.
     """
 
     def __init__(self, symbols: np.ndarray, seed: int):
@@ -89,13 +151,12 @@ class SceneryPath:
         self.seed = seed
         self._head = symbols
         self._length = len(symbols)
-        self._draws: np.ndarray | None = None
-        self._cdf: np.ndarray | None = None
+        self._draws, self._probs, self._cap = None, None, 0
 
     @classmethod
-    def from_draws(cls, draws: np.ndarray, cdf: np.ndarray, seed: int) -> "SceneryPath":
+    def from_draws(cls, draws: np.ndarray, probs: ProbVector, cap: int, seed: int) -> SceneryPath:
         path = cls(np.empty(0, dtype=np.int64), seed)
-        path._draws, path._cdf, path._length = draws, cdf, len(draws)
+        path._draws, path._probs, path._cap, path._length = draws, probs, cap, len(draws)
         return path
 
     def __len__(self) -> int:
@@ -105,7 +166,7 @@ class SceneryPath:
         """The first ``k`` symbols, inverting more draws if needed."""
         if len(self._head) < min(k, len(self)):
             n = min(len(self), max(k, 2 * len(self._head)))
-            self._head = _invert(self._draws[:n], self._cdf)
+            self._head = _symbols(self._draws[:n], self._probs, self._cap)
         return self._head[:k]
 
     @property
@@ -124,32 +185,20 @@ class SceneryPath:
 def sample_scenery(probs: ProbVector, length: int, seed: int) -> SceneryPath:
     """Draw a scenery of ``length`` i.i.d. symbols by inverse CDF.
 
-    For the inverse-square vector the prefix CDF is extended by doubling
-    until it covers the largest uniform variate in the batch; a draw that
-    would need a symbol past the cap raises :class:`RareTailError` naming
-    the variate.  The cap is read from ``RIFS_LAB_MAX_SYMBOL``.  Every
-    uniform is drawn here; the returned path inverts them to symbols on
-    demand.
+    For the inverse-square vector, a largest uniform variate past the CDF of
+    the cap (``RIFS_LAB_MAX_SYMBOL``) raises :class:`RareTailError` naming
+    it.  The verdict is certified against the law's closed-form tail; only a
+    variate within rounding of it walks the CDF to the cap.  Every uniform
+    is drawn here; the path inverts them on demand.
     """
     if length < 1:
         raise ValueError("scenery length must be >= 1")
     cap = max_symbol_cap()
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random(length)
-
-    if probs.is_finite:
-        cdf = probs.prefix_cdf(len(probs.values))
-    else:
-        umax = float(u.max())
-        n = min(_CDF_START, cap)
-        while True:
-            cdf = probs.prefix_cdf(n)
-            if umax <= cdf[-1]:
-                break
-            if n >= cap:
-                raise RareTailError(umax, cap)
-            n = min(2 * n, cap)
-    return SceneryPath.from_draws(u, cdf, seed)
+    if not probs.is_finite and _past_cap(probs, umax := float(u.max()), cap):
+        raise RareTailError(umax, cap)
+    return SceneryPath.from_draws(u, probs, cap, seed)
 
 
 def domination_start(path: SceneryPath) -> int:

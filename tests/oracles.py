@@ -168,3 +168,25 @@ def oracle_dimension_estimates(symbols, d: int = 1, count: int = 2):
             lm = _log2_sum(lj, lu_rec) if lj != -math.inf else lu_rec
             exponents.append(0.0 if lb == -math.inf else d * 2.0 ** (lb - lm))
     return exponents
+
+
+def inverse_square_cdf(n: int) -> np.ndarray:
+    """One-shot float cumsum of p_k = 1/(C k^2) over k = 1..n, C = pi^2/6."""
+    k = np.arange(1, n + 1, dtype=np.float64)
+    return np.cumsum(1.0 / (math.pi ** 2 / 6 * k * k))
+
+
+def past_cap(umax: float, cap: int) -> bool:
+    """The symbol-cap rule read off the whole capped CDF: a largest draw past
+    its last value needs a symbol past the cap."""
+    return umax > float(inverse_square_cdf(cap)[-1])
+
+
+def covering_length(umax: float, cap: int, start: int = 1024) -> int:
+    """Length at which a CDF doubled from ``start``, never past ``cap``, first
+    covers ``umax``."""
+    cdf = inverse_square_cdf(cap)
+    n = min(start, cap)
+    while cdf[n - 1] < umax and n < cap:
+        n = min(2 * n, cap)
+    return n

@@ -12,6 +12,7 @@ from conftest import frame_family_doc, two_ifs_doc
 from oracles import brute_force_cubes
 
 D1_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "counterexample_d1.json")
+TWO_IFS_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "two_ifs.json")
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -344,6 +345,9 @@ class TestOutsideInput:
         ["counterexample", "LEVEL_TWO_ON_ONE_LEVEL", "--horizon", "100"],
         ["dimensions", D1_CONFIG, "--tol", "0"],
         ["dimensions", D1_CONFIG, "--truncation", "0"],
+        ["counterexample", D1_CONFIG, "--seeds", "600", "--horizon", "100", "--t-grid", "nan"],
+        ["counterexample", D1_CONFIG, "--seeds", "600", "--horizon", "100", "--t-grid", "inf"],
+        ["dimensions", TWO_IFS_CONFIG, "--tol", "inf"],
     ], ids=["frame-validate-missing-file", "cover-missing-frame-file", "cover-d-zero",
             "exponents-negative-depth", "frame-gen-unwritable-out",
             "dimensions-unwritable-out", "counterexample-unwritable-out",
@@ -353,7 +357,8 @@ class TestOutsideInput:
             "counterexample-inverse-square-past-explicit-frame",
             "dimensions-level-two-past-explicit-frame",
             "counterexample-level-two-past-explicit-frame",
-            "dimensions-tol-zero", "dimensions-truncation-zero"])
+            "dimensions-tol-zero", "dimensions-truncation-zero",
+            "counterexample-t-grid-nan", "counterexample-t-grid-inf", "dimensions-tol-inf"])
     def test_ends_in_error_document(self, capsys, tmp_path, argv):
         (tmp_path / "regular_file").write_text("")
         paths = {

@@ -2,7 +2,10 @@
 the CLI only flags that a command reads."""
 
 import argparse
+import ast
+import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import rifs_lab
@@ -38,3 +41,46 @@ def test_every_cli_flag_is_read():
     dests = {action.dest for action in _settable_actions(cli.build_parser())}
     unread = sorted(d for d in dests if not re.search(rf"\bargs\.{d}\b", text))
     assert unread == []
+
+
+def _leaf_commands(parser: argparse.ArgumentParser, func=None, name=""):
+    """(command name, handler, own settable actions) for every leaf subparser;
+    a subparser inherits the handler that an ancestor sets as its default."""
+    func = parser._defaults.get("func", func)
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield name, func, [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    for action in subs:
+        for sub_name, sub in action.choices.items():
+            yield from _leaf_commands(sub, func, f"{name} {sub_name}".strip())
+
+
+def _args_read(func) -> set[str]:
+    """Attributes of ``args`` read by ``func`` and every ``cli._*`` helper it
+    calls, followed transitively."""
+    read: set[str] = set()
+    seen: set[str] = set()
+    todo = [func]
+    while todo:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(todo.pop())))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Name) and node.id.startswith("_") and node.id not in seen
+                  and inspect.isfunction(getattr(cli, node.id, None))):
+                seen.add(node.id)
+                todo.append(getattr(cli, node.id))
+    return read
+
+
+def test_every_flag_is_read_by_its_own_command():
+    # stronger than test_every_cli_flag_is_read: a flag that one command reads
+    # but another declares and ignores is caught here
+    unread = {}
+    for name, func, actions in _leaf_commands(cli.build_parser()):
+        read = _args_read(func)
+        missing = sorted(a.dest for a in actions if a.dest not in read)
+        if missing:
+            unread[name] = missing
+    assert unread == {}

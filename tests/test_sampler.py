@@ -8,15 +8,26 @@ from rifs_lab import (
     ProbVector,
     RareTailError,
     domination_start,
+    load_spec,
+    pressure,
     sample_scenery,
     sampler,
     scenery_csv,
 )
-from rifs_lab.rifs import zeta_probability
+from rifs_lab.rifs import zeta_probability, zeta_tail
 from rifs_lab.sampler import SceneryPath, record_sequences
 
 from conftest import DATA
-from oracles import independent_record_check, pair_two_stall_probability, record_pairs_reference
+from oracles import (
+    covering_length,
+    independent_record_check,
+    inverse_square_cdf,
+    pair_two_stall_probability,
+    past_cap,
+    record_pairs_reference,
+)
+
+D1_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "counterexample_d1.json"
 
 GOLDEN_SEED42 = [3, 1, 4, 2, 1, 25, 3, 3, 1, 1]
 
@@ -126,6 +137,16 @@ class TestLazyInversion:
             checked += 1
         assert checked >= 180
 
+    def test_draws_past_the_kept_cdf_match_the_full_cdf(self):
+        # seed 2 at horizon 1e6 completes, with draws far past the kept prefix
+        probs = ProbVector("inverse_square")
+        path = sample_scenery(probs, 10 ** 6, seed=2)
+        u = np.random.Generator(np.random.PCG64(2)).random(10 ** 6)
+        expected = np.searchsorted(inverse_square_cdf(sampler.DEFAULT_MAX_SYMBOL), u) + 1
+        assert (expected > 2 * sampler._CDF_BLOCK).sum() >= 3
+        assert (path.symbols == expected).all()
+        assert len(probs._cdf) <= sampler._CDF_BLOCK
+
     def test_record_recursion_inverts_only_what_it_reads(self, inverse_square, inversions):
         for seed in (2, 3):
             path = sample_scenery(inverse_square, 1_000_000, seed=seed)
@@ -150,6 +171,134 @@ class TestLazyInversion:
             sample_scenery(inverse_square, 10_000, seed=4)
         assert err.value.variate == float(u.max())
         assert err.value.cap == 1000
+
+
+def max_draw(seed: int, length: int) -> float:
+    return float(np.random.Generator(np.random.PCG64(seed)).random(length).max())
+
+
+def fixed_draws(monkeypatch, draws: list[float]) -> None:
+    """Make the uniform stream that sample_scenery opens return ``draws``."""
+
+    class Stream:
+        def random(self, n):
+            assert n == len(draws)
+            return np.asarray(draws, dtype=np.float64)
+
+    monkeypatch.setattr(np.random, "Generator", lambda bit_generator: Stream())
+
+
+def spy_cdf_lengths(monkeypatch, probs: ProbVector) -> list[int]:
+    """Record the length of every CDF that ``probs`` hands out from now on."""
+    lengths: list[int] = []
+    prefix_cdf = probs.prefix_cdf
+
+    def spy(n):
+        cdf = prefix_cdf(n)
+        lengths.append(len(cdf))
+        return cdf
+
+    monkeypatch.setattr(probs, "prefix_cdf", spy)
+    return lengths
+
+
+def edge_and_margin(cap: int) -> tuple[float, float]:
+    """The sampler's certificate: 1 - zeta_tail(cap) and its stated margin."""
+    return 1.0 - zeta_tail(cap), (cap + 8) * 2.0 ** -52
+
+
+def tail_probes(cap: int) -> list[float]:
+    """Largest draws at T(cap), the float CDF at the cap, at its neighbours,
+    and one ulp either side of edge - margin and edge + margin."""
+    t = float(inverse_square_cdf(cap)[-1])
+    edge, margin = edge_and_margin(cap)
+    probes = [np.nextafter(t, 0.0), t, np.nextafter(t, 2.0)]
+    for bound in (edge - margin, edge + margin):
+        probes += [np.nextafter(bound, 0.0), bound, np.nextafter(bound, 2.0)]
+    return [float(u) for u in probes]
+
+
+class TestCertifiedTailVerdict:
+    """The certified cap rule against the whole one-shot CDF at the cap."""
+
+    @pytest.mark.parametrize("cap", [10, 1000, 10_001, 10 ** 6])
+    def test_raises_exactly_when_the_full_cdf_does(self, monkeypatch, cap):
+        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", str(cap))
+        verdicts = set()
+        for umax in tail_probes(cap):
+            fixed_draws(monkeypatch, [0.5, umax])
+            expected = past_cap(umax, cap)
+            verdicts.add(expected)
+            if expected:
+                with pytest.raises(RareTailError) as err:
+                    sample_scenery(ProbVector("inverse_square"), 2, seed=0)
+                assert err.value.variate == umax and err.value.cap == cap
+            else:
+                path = sample_scenery(ProbVector("inverse_square"), 2, seed=0)
+                assert 1 <= path.symbols[1] <= cap
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("cap", [10_001, 10 ** 6])
+    def test_outside_the_band_builds_no_cdf(self, monkeypatch, cap):
+        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", str(cap))
+        edge, margin = edge_and_margin(cap)
+        for umax, fails in ((np.nextafter(edge - margin, 0.0), False),
+                            (np.nextafter(edge + margin, 2.0), True)):
+            probs = ProbVector("inverse_square")
+            lengths = spy_cdf_lengths(monkeypatch, probs)
+            fixed_draws(monkeypatch, [0.5, float(umax)])
+            if fails:
+                with pytest.raises(RareTailError):
+                    sample_scenery(probs, 2, seed=0)
+            else:
+                sample_scenery(probs, 2, seed=0)
+            assert lengths == []
+
+    def test_band_seed_completes_through_the_capped_cdf(self, monkeypatch):
+        # seed 287345256 at horizon 1e6: the largest draw sits 1.54e-10 below
+        # T(10^6), inside the margin, so only the capped CDF decides it; the
+        # CDF is walked to the cap in blocks, and the kept prefix stays short
+        cap = sampler.DEFAULT_MAX_SYMBOL
+        umax = max_draw(287345256, 10 ** 6)
+        edge, margin = edge_and_margin(cap)
+        assert abs(umax - edge) <= margin and not past_cap(umax, cap)
+        probs = ProbVector("inverse_square")
+        lengths = spy_cdf_lengths(monkeypatch, probs)
+        reached: list[int] = []
+        cdf_block = probs.cdf_block
+
+        def spy(lo, hi, start):
+            reached.append(hi)
+            return cdf_block(lo, hi, start)
+
+        monkeypatch.setattr(probs, "cdf_block", spy)
+        path = sample_scenery(probs, 10 ** 6, seed=287345256)
+        assert max(reached) == cap
+        assert max(lengths) == len(probs._cdf) == sampler._CDF_BLOCK
+        assert len(path) == 10 ** 6
+
+    @pytest.mark.parametrize("seed, horizon", [(92, 10 ** 6), (884, 10 ** 4), (0, 10 ** 6)])
+    def test_fault_seeds_name_their_largest_draw(self, inverse_square, seed, horizon):
+        umax = max_draw(seed, horizon)
+        assert past_cap(umax, sampler.DEFAULT_MAX_SYMBOL)
+        with pytest.raises(RareTailError) as err:
+            sample_scenery(inverse_square, horizon, seed=seed)
+        assert err.value.variate == umax
+        assert err.value.cap == sampler.DEFAULT_MAX_SYMBOL
+
+
+class TestCdfCoversOnlyWhatIsRead:
+    def test_run_seed_grows_the_cdf_only_over_inverted_draws(self, inversions):
+        # a fresh vector, not the shared fixture, so no earlier test has grown it
+        spec = load_spec(D1_CONFIG.read_text())
+        cap = sampler.DEFAULT_MAX_SYMBOL
+        need = 0
+        for seed in (2, 3):
+            inversions.clear()
+            pressure.run_seed(spec, seed, 10 ** 6, 3, [0.0])
+            u = np.random.Generator(np.random.PCG64(seed)).random(max(inversions))
+            need = max(need, covering_length(float(u.max()), cap))
+            assert len(spec.probabilities._cdf) <= need < cap
 
 
 class TestDominationStart:
