@@ -216,13 +216,13 @@ def frame_from_doc(doc: object) -> Frame:
         if rule not in ("minimal", "custom-slack"):
             raise FrameError(f"unknown frame rule {rule!r}")
         levels = doc.get("levels")
-        if not isinstance(levels, int) or levels < 1:
+        if type(levels) is not int or levels < 1:  # a bool is no level count
             raise FrameError("frame shorthand needs a positive integer 'levels'")
         slack = None
         if rule == "custom-slack":
             raw = doc.get("slack", [1, 1])
             if (not isinstance(raw, list) or len(raw) != 2
-                    or not all(isinstance(x, int) and x >= 1 for x in raw)):
+                    or not all(type(x) is int and x >= 1 for x in raw)):
                 raise FrameError("'slack' must be a pair of positive integers")
             slack = (raw[0], raw[1])
         return minimal_frame(levels, slack=slack)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +53,11 @@ def zeta_tail(n: int) -> float:
 class ProbVector:
     """Probability vector over symbols 1, 2, ...
 
-    Either a finite list or the inverse-square law p_n = 1/(C n^2).  The
-    prefix CDF is cached and grown by extension: only the new terms are
-    computed and accumulated onto the cached last value.  The cumulative sum
-    runs strictly left to right, so the values are bit-identical to a
-    one-shot cumsum and a deterministic function of the requested length
-    alone.
+    Either a finite list or the inverse-square law p_n = 1/(C n^2).  The CDF
+    is read-only: a finite vector's cumsum, or the first values of
+    :data:`INVERSE_SQUARE_CDF`, one table shared by every inverse-square
+    vector.  :meth:`cdf_block` carries the same left-to-right cumsum past the
+    table, so every value is bit-identical to a one-shot cumsum.
     """
 
     def __init__(self, kind: str, values: tuple[float, ...] | None = None):
@@ -73,14 +71,16 @@ class ProbVector:
             if not any(p > 0 for p in values):
                 raise SpecValidationError("probabilities must not all be zero")
             total = math.fsum(values)
-            if abs(total - 1.0) > _PROB_SUM_TOL:
+            if not abs(total - 1.0) <= _PROB_SUM_TOL:  # NaN fails too
                 raise SpecValidationError(f"probabilities sum != 1 (got {total!r})")
+            values = tuple(float(p) for p in values)
+            self._cdf = np.cumsum(np.asarray(values, dtype=np.float64))
+            self._cdf.setflags(write=False)
         else:
             values = None
+            self._cdf = INVERSE_SQUARE_CDF
         self.kind = kind
-        self.values = tuple(float(p) for p in values) if values is not None else None
-        self._cdf: np.ndarray | None = None
-        self._lock = threading.Lock()
+        self.values = values
 
     @property
     def is_finite(self) -> bool:
@@ -100,28 +100,27 @@ class ProbVector:
         return [i + 1 for i, p in enumerate(self.values) if p > 0]
 
     def prefix_cdf(self, n: int) -> np.ndarray:
-        """CDF over symbols 1..n, grown (never shrunk) on demand."""
+        """CDF over symbols 1..n (a finite vector's whole CDF), read-only."""
         if self.kind == "finite":
-            n = len(self.values)
-        with self._lock:
-            if self._cdf is None or len(self._cdf) < n:
-                if self.kind == "finite":
-                    self._cdf = np.cumsum(np.asarray(self.values, dtype=np.float64))
-                else:
-                    old = np.zeros(0) if self._cdf is None else self._cdf
-                    self._cdf = np.concatenate(
-                        [old, self.cdf_block(len(old), n, old[-1] if len(old) else 0.0)])
-            return self._cdf[:n]
+            return self._cdf
+        if n > len(self._cdf):
+            raise ValueError(f"the inverse-square CDF table stops at symbol {len(self._cdf)}")
+        return self._cdf[:n]
 
     @staticmethod
     def cdf_block(lo: int, hi: int, start: float) -> np.ndarray:
         """Inverse-square CDF over symbols lo+1..hi, accumulated onto
-        ``start``, the CDF at ``lo``; the same values as ``prefix_cdf``, not
-        cached."""
+        ``start``, the CDF at ``lo``; the same values as a one-shot cumsum."""
         k = np.arange(lo + 1, hi + 1, dtype=np.float64)
         terms = 1.0 / (INVERSE_SQUARE_C * k * k)
         terms[0] += start
         return np.cumsum(terms)
+
+
+#: The inverse-square CDF over symbols 1..2^14, built once; draws past it
+#: are placed by :meth:`ProbVector.cdf_block` walks.
+INVERSE_SQUARE_CDF = ProbVector.cdf_block(0, 1 << 14, 0.0)
+INVERSE_SQUARE_CDF.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -292,9 +291,27 @@ def _count_label(desc: IFSDescriptor) -> str:
 # -- config ingestion -------------------------------------------------------
 
 
-def _default_eta(max_log2_ratio: float) -> float:
-    # Halfway between the largest ratio and 1; strictly dominates every map.
-    return (1.0 + 2.0 ** max_log2_ratio) / 2.0
+def _finite_number(value, what: str) -> float:
+    """A finite JSON number (not a string or a bool) as a float."""
+    try:
+        x = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer past float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise SpecValidationError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
+def _eta(doc: dict, max_log2_ratio: float) -> float:
+    """The config's ``eta``; by default halfway between the largest ratio and
+    1, which strictly dominates every map."""
+    if "eta" in doc:
+        eta = _finite_number(doc["eta"], "eta")
+    else:
+        eta = (1.0 + 2.0 ** max_log2_ratio) / 2.0
+    if not 0.0 < eta < 1.0:
+        raise SpecValidationError(f"eta must lie in (0, 1), got {eta}")
+    return eta
 
 
 def validate_spec(doc: dict) -> RIFSSpec:
@@ -322,7 +339,7 @@ def validate_spec(doc: dict) -> RIFSSpec:
         values = prob_doc.get("values")
         if not isinstance(values, list):
             raise SpecValidationError("finite probabilities need a 'values' list")
-        probs = ProbVector("finite", tuple(float(v) for v in values))
+        probs = ProbVector("finite", tuple(_finite_number(v, "a probability") for v in values))
     else:
         probs = ProbVector(str(prob_doc["kind"]))
 
@@ -347,18 +364,19 @@ def validate_spec(doc: dict) -> RIFSSpec:
             aggs = []
             for m in maps:
                 try:
-                    r = float(m["log2_ratio"])
-                    mult = int(m["multiplicity"])
-                except (KeyError, TypeError, ValueError) as exc:
+                    r, mult = m["log2_ratio"], m["multiplicity"]
+                except (KeyError, TypeError) as exc:
                     raise SpecValidationError(
                         f"system #{idx}: maps need 'log2_ratio' and 'multiplicity'"
                     ) from exc
+                r = _finite_number(r, f"system #{idx}: log2_ratio")
                 if r >= 0:
                     raise SpecValidationError(
                         f"system #{idx}: not a contraction (log2_ratio = {r})"
                     )
-                if mult < 1:
-                    raise SpecValidationError(f"system #{idx}: multiplicity must be >= 1")
+                if type(mult) is not int or mult < 1:
+                    raise SpecValidationError(
+                        f"system #{idx}: multiplicity must be an integer >= 1, got {mult!r}")
                 aggs.append(MapAggregate(r, mult))
             if sum(a.multiplicity for a in aggs) < 2:
                 raise SpecValidationError(f"system #{idx}: needs at least 2 maps")
@@ -370,9 +388,7 @@ def validate_spec(doc: dict) -> RIFSSpec:
                 "probability vector puts mass beyond the last system"
             )
         max_ratio = max(d.max_log2_ratio() for d in descriptors)
-        eta = float(doc["eta"]) if "eta" in doc else _default_eta(max_ratio)
-        if not 0.0 < eta < 1.0:
-            raise SpecValidationError(f"eta must lie in (0, 1), got {eta}")
+        eta = _eta(doc, max_ratio)
         if 2.0 ** max_ratio >= eta:
             raise SpecValidationError(
                 f"eta = {eta} does not dominate the largest ratio 2^{max_ratio}"
@@ -385,12 +401,9 @@ def validate_spec(doc: dict) -> RIFSSpec:
             raise SpecValidationError("frame family needs a 'frame' document")
         frame = frame_from_doc(family_doc["frame"])
         d = family_doc.get("d")
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:  # a bool is no dimension
             raise SpecValidationError("frame family needs an integer dimension d >= 1")
-        max_ratio = -(frame.entry(1).u.add(frame.entry(1).v).to_float())
-        eta = float(doc["eta"]) if "eta" in doc else _default_eta(max_ratio)
-        if not 0.0 < eta < 1.0:
-            raise SpecValidationError(f"eta must lie in (0, 1), got {eta}")
+        eta = _eta(doc, -(frame.entry(1).u.add(frame.entry(1).v).to_float()))
         if not frame.is_generated:
             if not probs.is_finite:
                 raise SpecValidationError(

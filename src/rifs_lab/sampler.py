@@ -2,74 +2,57 @@
 
 Sceneries are i.i.d. symbol sequences drawn by inverse CDF from a
 :class:`~rifs_lab.rifs.ProbVector`.  Sampling is a pure function of
-(seed, probabilities, length): the PCG64 stream is fixed by the seed and the
-CDF is a deterministic function of its length, so regeneration is
-bit-identical.
+(seed, probabilities, length): the PCG64 stream is fixed by the seed, the
+symbol cap is the constant :data:`MAX_SYMBOL`, and the CDF is one fixed
+table plus blocks of the same cumsum, so regeneration is bit-identical.
 
 Every one of the ``length`` uniforms is drawn up front, but a draw is
 inverted only when a reader asks for a prefix that reaches it: the record
-recursion reads a few thousand symbols of a horizon-1e6 scenery.  The CDF
-kept on the vector covers at most ``_CDF_BLOCK`` symbols; the few draws past
-it are placed by blocks of the same cumsum that are dropped after use, so
-memory does not depend on how deep into the tail a seed's draws reach.  A
-scenery whose largest draw lies beyond the CDF of the symbol cap aborts
-loudly with :class:`RareTailError`, wherever that draw falls, so whether a
-seed fails does not depend on how far its windows read; the verdict is
-certified from the law's closed-form tail.
+recursion reads a few thousand symbols of a horizon-1e6 scenery.  The few
+draws past the CDF table are placed by blocks of the same cumsum that are
+dropped after use, so memory does not depend on how deep into the tail a
+seed's draws reach.  A scenery whose largest draw lies beyond the CDF of
+the symbol cap aborts loudly with :class:`RareTailError`, wherever that
+draw falls, so whether a seed fails does not depend on how far its windows
+read; the verdict is certified from the law's closed-form tail.
 """
 
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .rifs import ProbVector, SpecValidationError, zeta_tail
+from .rifs import INVERSE_SQUARE_CDF, ProbVector, zeta_tail
 
-#: Hard ceiling on sampled symbols; overridable via RIFS_LAB_MAX_SYMBOL.
-DEFAULT_MAX_SYMBOL = 10 ** 6
+#: Hard ceiling on sampled symbols: a draw past its CDF aborts the scenery.
+MAX_SYMBOL = 10 ** 6
 
-_CDF_START = 1024
-#: The CDF kept on a ProbVector stops here; draws past it are placed by
-#: blocks of this many CDF values, each computed and dropped.
-_CDF_BLOCK = 1 << 14
+#: Draws past the CDF table are placed by blocks of this many CDF values,
+#: each computed and dropped.
+_CDF_BLOCK = len(INVERSE_SQUARE_CDF)
 
 
 class RareTailError(RuntimeError):
-    """A uniform draw landed beyond the CDF of the configured symbol cap."""
+    """A uniform draw landed beyond the CDF of the symbol cap."""
 
     def __init__(self, variate: float, cap: int):
         self.variate = variate
         self.cap = cap
         super().__init__(
             f"uniform draw {variate!r} falls in the tail beyond symbol {cap} "
-            f"(tail mass ~{zeta_tail(cap):.3e}); raise RIFS_LAB_MAX_SYMBOL to allow"
+            f"(tail mass ~{zeta_tail(cap):.3e})"
         )
-
-
-def max_symbol_cap() -> int:
-    raw = os.environ.get("RIFS_LAB_MAX_SYMBOL")
-    if raw is None:
-        return DEFAULT_MAX_SYMBOL
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise SpecValidationError(
-            f"RIFS_LAB_MAX_SYMBOL must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise SpecValidationError("RIFS_LAB_MAX_SYMBOL must be positive")
-    return cap
 
 
 def _invert(draws: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """Symbols of ``draws`` under ``cdf``, read-only.
 
     A draw past the accumulated total (possible when a finite vector sums
-    to 1 - epsilon) collapses onto the last symbol; a covering CDF of the
-    inverse-square law never needs the clamp.
+    to 1 - epsilon) collapses onto the last symbol; a draw past the
+    inverse-square table is placed afterwards by :func:`_symbols`.
     """
     symbols = np.minimum(np.searchsorted(cdf, draws, side="left") + 1, len(cdf))
     symbols = symbols.astype(np.int64, copy=False)
@@ -77,30 +60,17 @@ def _invert(draws: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return symbols
 
 
-def _covering_cdf(probs: ProbVector, umax: float, cap: int) -> np.ndarray:
-    """The CDF, doubled from ``_CDF_START`` up to ``cap``, that first covers
-    ``umax``; any covering prefix of one cumsum gives the same symbols."""
-    if probs.is_finite:
-        return probs.prefix_cdf(len(probs.values))
-    n = min(_CDF_START, cap)
-    while (cdf := probs.prefix_cdf(n))[-1] < umax and n < cap:
-        n = min(2 * n, cap)
-    return cdf
-
-
-def _symbols(draws: np.ndarray, probs: ProbVector, cap: int) -> np.ndarray:
+def _symbols(draws: np.ndarray, probs: ProbVector) -> np.ndarray:
     """Symbols of ``draws``, read-only; an inverse-square draw past the CDF at
-    ``cap`` gets ``cap + 1``.
+    :data:`MAX_SYMBOL` gets ``MAX_SYMBOL + 1``.
 
-    The CDF kept on ``probs`` covers the draws by doubling, but never past
-    ``_CDF_BLOCK`` symbols.  The rare draws beyond it are placed by blocks of
-    the same cumsum, carried onward and dropped, so memory does not depend
-    on how far into the tail a seed's draws reach.
+    Draws are inverted against the fixed CDF table.  The rare draws beyond
+    it are placed by blocks of the same cumsum, carried onward and dropped.
     """
-    umax = float(draws.max())
-    cdf = _covering_cdf(probs, umax, min(cap, _CDF_BLOCK))
+    cap = MAX_SYMBOL
+    cdf = probs.prefix_cdf(min(cap, _CDF_BLOCK))
     symbols = _invert(draws, cdf)
-    if probs.is_finite or umax <= cdf[-1]:
+    if probs.is_finite or draws.max() <= cdf[-1]:
         return symbols
     symbols = symbols.copy()
     far = np.flatnonzero(draws > cdf[-1])
@@ -118,7 +88,7 @@ def _symbols(draws: np.ndarray, probs: ProbVector, cap: int) -> np.ndarray:
     return symbols
 
 
-def _past_cap(probs: ProbVector, umax: float, cap: int) -> bool:
+def _past_cap(probs: ProbVector, umax: float) -> bool:
     """Whether ``umax`` exceeds the inverse-square float CDF at the cap."""
     # Past zeta_tail's fsum range, edge = 1 - zeta_tail(cap) decides without
     # the CDF.  With u = 2^-53 the CDF's last value lies within (cap - 1) u of
@@ -127,11 +97,12 @@ def _past_cap(probs: ProbVector, umax: float, cap: int) -> bool:
     # 1/((C k) k), + 4u for float C against zeta(2), + u for 1 - tail; the
     # Euler-Maclaurin remainder (< 1/(42 cap^7)) is far below an ulp.  The
     # margin is twice that sum; only a draw inside it walks the CDF to the cap.
+    cap = MAX_SYMBOL
     if cap > 10_000:
         edge = 1.0 - zeta_tail(cap)
         if abs(umax - edge) > (cap + 8) * 2.0 ** -52:
             return umax > edge
-    return _symbols(np.array([umax]), probs, cap)[0] > cap
+    return _symbols(np.array([umax]), probs)[0] > cap
 
 
 class SceneryPath:
@@ -151,12 +122,12 @@ class SceneryPath:
         self.seed = seed
         self._head = symbols
         self._length = len(symbols)
-        self._draws, self._probs, self._cap = None, None, 0
+        self._draws, self._probs = None, None
 
     @classmethod
-    def from_draws(cls, draws: np.ndarray, probs: ProbVector, cap: int, seed: int) -> SceneryPath:
+    def from_draws(cls, draws: np.ndarray, probs: ProbVector, seed: int) -> SceneryPath:
         path = cls(np.empty(0, dtype=np.int64), seed)
-        path._draws, path._probs, path._cap, path._length = draws, probs, cap, len(draws)
+        path._draws, path._probs, path._length = draws, probs, len(draws)
         return path
 
     def __len__(self) -> int:
@@ -166,7 +137,7 @@ class SceneryPath:
         """The first ``k`` symbols, inverting more draws if needed."""
         if len(self._head) < min(k, len(self)):
             n = min(len(self), max(k, 2 * len(self._head)))
-            self._head = _symbols(self._draws[:n], self._probs, self._cap)
+            self._head = _symbols(self._draws[:n], self._probs)
         return self._head[:k]
 
     @property
@@ -186,19 +157,18 @@ def sample_scenery(probs: ProbVector, length: int, seed: int) -> SceneryPath:
     """Draw a scenery of ``length`` i.i.d. symbols by inverse CDF.
 
     For the inverse-square vector, a largest uniform variate past the CDF of
-    the cap (``RIFS_LAB_MAX_SYMBOL``) raises :class:`RareTailError` naming
-    it.  The verdict is certified against the law's closed-form tail; only a
+    the cap (:data:`MAX_SYMBOL`) raises :class:`RareTailError` naming it.
+    The verdict is certified against the law's closed-form tail; only a
     variate within rounding of it walks the CDF to the cap.  Every uniform
     is drawn here; the path inverts them on demand.
     """
     if length < 1:
         raise ValueError("scenery length must be >= 1")
-    cap = max_symbol_cap()
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random(length)
-    if not probs.is_finite and _past_cap(probs, umax := float(u.max()), cap):
-        raise RareTailError(umax, cap)
-    return SceneryPath.from_draws(u, probs, cap, seed)
+    if not probs.is_finite and _past_cap(probs, umax := float(u.max())):
+        raise RareTailError(umax, MAX_SYMBOL)
+    return SceneryPath.from_draws(u, probs, seed)
 
 
 def domination_start(path: SceneryPath) -> int:

@@ -180,13 +180,3 @@ def past_cap(umax: float, cap: int) -> bool:
     """The symbol-cap rule read off the whole capped CDF: a largest draw past
     its last value needs a symbol past the cap."""
     return umax > float(inverse_square_cdf(cap)[-1])
-
-
-def covering_length(umax: float, cap: int, start: int = 1024) -> int:
-    """Length at which a CDF doubled from ``start``, never past ``cap``, first
-    covers ``umax``."""
-    cdf = inverse_square_cdf(cap)
-    n = min(start, cap)
-    while cdf[n - 1] < umax and n < cap:
-        n = min(2 * n, cap)
-    return n

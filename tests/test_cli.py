@@ -191,11 +191,6 @@ class TestCounterexampleCommand:
         code, doc = run_json(capsys, "counterexample", D1_CONFIG, flag, value)
         assert code == 2 and "error" in doc
 
-    def test_malformed_symbol_cap_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", "abc")
-        code, doc = run_json(capsys, "counterexample", D1_CONFIG, "--seeds", "600:2")
-        assert code == 2 and "RIFS_LAB_MAX_SYMBOL" in doc["error"]
-
 
 class TestCoverCommand:
     def test_enum_pinned_count(self, capsys):
@@ -300,11 +295,6 @@ class TestSampleCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_malformed_symbol_cap_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", "abc")
-        code, doc = run_json(capsys, "sample")
-        assert code == 2 and "RIFS_LAB_MAX_SYMBOL" in doc["error"]
-
     @pytest.mark.parametrize("flag, value", [("--horizon", "0"), ("--seed", "-1")])
     def test_out_of_range_arguments_rejected(self, capsys, flag, value):
         code, doc = run_json(capsys, "sample", flag, value)
@@ -322,6 +312,22 @@ class TestSampleCommand:
 _PAST_EXPLICIT_FRAME = {
     "INVERSE_SQUARE_ON_ONE_LEVEL": {"kind": "inverse_square"},
     "LEVEL_TWO_ON_ONE_LEVEL": {"kind": "finite", "values": [0.0, 1.0]},
+}
+
+# edits of a config that make one of its numbers malformed
+_MALFORMED_NUMBERS = {
+    "STRING_PROBABILITY": lambda doc: doc["probabilities"].update(values=["a", 0.5]),
+    "STRING_ETA": lambda doc: doc.update(eta="x"),
+    "NAN_PROBABILITY": lambda doc: doc["probabilities"].update(values=[1.0, math.nan]),
+    "INFINITE_LOG2_RATIO": lambda doc: doc["family"]["ifs"][0]["maps"][0].update(
+        log2_ratio=-math.inf),
+    "FRACTIONAL_MULTIPLICITY": lambda doc: doc["family"]["ifs"][0]["maps"][0].update(
+        multiplicity=2.7),
+    # two maps, so a true read as 1 still passes the at-least-two-maps check
+    "BOOLEAN_MULTIPLICITY": lambda doc: doc["family"]["ifs"][0].update(maps=[
+        {"log2_ratio": -1.0, "multiplicity": True}, {"log2_ratio": -1.0, "multiplicity": 1}]),
+    "BOOLEAN_DIMENSION": lambda doc: doc.update(frame_family_doc(d=True)),
+    "BOOLEAN_FRAME_LEVELS": lambda doc: doc.update(frame_family_doc(levels=True)),
 }
 
 
@@ -348,6 +354,14 @@ class TestOutsideInput:
         ["counterexample", D1_CONFIG, "--seeds", "600", "--horizon", "100", "--t-grid", "nan"],
         ["counterexample", D1_CONFIG, "--seeds", "600", "--horizon", "100", "--t-grid", "inf"],
         ["dimensions", TWO_IFS_CONFIG, "--tol", "inf"],
+        ["dimensions", "STRING_PROBABILITY"],
+        ["dimensions", "STRING_ETA"],
+        ["dimensions", "NAN_PROBABILITY"],
+        ["dimensions", "INFINITE_LOG2_RATIO"],
+        ["dimensions", "FRACTIONAL_MULTIPLICITY"],
+        ["dimensions", "BOOLEAN_MULTIPLICITY"],
+        ["dimensions", "BOOLEAN_DIMENSION"],
+        ["dimensions", "BOOLEAN_FRAME_LEVELS"],
     ], ids=["frame-validate-missing-file", "cover-missing-frame-file", "cover-d-zero",
             "exponents-negative-depth", "frame-gen-unwritable-out",
             "dimensions-unwritable-out", "counterexample-unwritable-out",
@@ -358,7 +372,10 @@ class TestOutsideInput:
             "dimensions-level-two-past-explicit-frame",
             "counterexample-level-two-past-explicit-frame",
             "dimensions-tol-zero", "dimensions-truncation-zero",
-            "counterexample-t-grid-nan", "counterexample-t-grid-inf", "dimensions-tol-inf"])
+            "counterexample-t-grid-nan", "counterexample-t-grid-inf", "dimensions-tol-inf",
+            "string-probability", "string-eta", "nan-probability", "infinite-log2-ratio",
+            "fractional-multiplicity", "boolean-multiplicity", "boolean-dimension",
+            "boolean-frame-levels"])
     def test_ends_in_error_document(self, capsys, tmp_path, argv):
         (tmp_path / "regular_file").write_text("")
         paths = {
@@ -372,6 +389,11 @@ class TestOutsideInput:
                 "probabilities": probabilities,
                 "family": {"kind": "frame", "frame": [["1", "1"]], "d": 1},
             }))
+        for name, edit in _MALFORMED_NUMBERS.items():
+            doc = two_ifs_doc()
+            edit(doc)
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc))
         code, doc = run_json(capsys, *[paths.get(a, a) for a in argv])
         assert code == 2 and "error" in doc
 

@@ -1,5 +1,6 @@
-"""The top-level API holds only names that the CLI or the README use, and
-the CLI only flags that a command reads."""
+"""The top-level API holds only names that the CLI or the README use, the
+CLI only flags that a command reads, and no output depends on the
+environment."""
 
 import argparse
 import ast
@@ -84,3 +85,22 @@ def test_every_flag_is_read_by_its_own_command():
         if missing:
             unread[name] = missing
     assert unread == {}
+
+
+def test_library_reads_no_environment_variable():
+    sources = sorted((ROOT / "src" / "rifs_lab").glob("*.py"))
+    assert sources
+    readers = [f"{p.name}:{i}" for p in sources
+               for i, line in enumerate(p.read_text().splitlines(), start=1)
+               if re.search(r"\benviron\b|\bgetenv\b", line)]
+    assert readers == []
+
+
+def test_sample_output_ignores_the_environment(capsys, monkeypatch):
+    argv = ["sample", "--seed", "0", "--horizon", "100"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    # seed 0 draws a symbol past 10, so a cap read from the environment would fail it
+    monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", "10")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == plain

@@ -14,6 +14,7 @@ from rifs_lab import (
 )
 from rifs_lab.rifs import (
     INVERSE_SQUARE_C,
+    INVERSE_SQUARE_CDF,
     counterexample_ifs,
     validate_spec,
     zeta_probability,
@@ -60,16 +61,24 @@ class TestProbVector:
         assert pv.support() == [1]
 
     def test_cdf_deterministic_under_growth(self):
+        # inverting a scenery with draws far past the table walks cdf_block
         pv = ProbVector("inverse_square")
         first = pv.prefix_cdf(1000).copy()
-        pv.prefix_cdf(50_000)
+        sample_scenery(pv, 10 ** 6, seed=2).symbols
         assert (pv.prefix_cdf(1000) == first).all()
+        with pytest.raises(ValueError):
+            pv.prefix_cdf(50_000)
 
     def test_cdf_grown_by_extension_equals_one_shot(self):
         pv = ProbVector("inverse_square")
+        table = len(INVERSE_SQUARE_CDF)
         for n in (1024, 3000, 2 ** 20, 10 ** 6):
+            parts = [pv.prefix_cdf(min(n, table))]
+            for lo in range(table, n, table):
+                parts.append(pv.cdf_block(lo, min(lo + table, n), parts[-1][-1]))
             k = np.arange(1, n + 1, dtype=np.float64)
-            assert np.array_equal(pv.prefix_cdf(n), np.cumsum(1.0 / (INVERSE_SQUARE_C * k * k)))
+            assert np.array_equal(np.concatenate(parts),
+                                  np.cumsum(1.0 / (INVERSE_SQUARE_C * k * k)))
         golden = (DATA / "scenery_seed42_len10.csv").read_text()
         assert scenery_csv(sample_scenery(pv, 10, seed=42)) == golden
 

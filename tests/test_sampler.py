@@ -14,12 +14,11 @@ from rifs_lab import (
     sampler,
     scenery_csv,
 )
-from rifs_lab.rifs import zeta_probability, zeta_tail
+from rifs_lab.rifs import INVERSE_SQUARE_CDF, zeta_probability, zeta_tail
 from rifs_lab.sampler import SceneryPath, record_sequences
 
 from conftest import DATA
 from oracles import (
-    covering_length,
     independent_record_check,
     inverse_square_cdf,
     pair_two_stall_probability,
@@ -70,17 +69,11 @@ class TestSampling:
         assert float(np.mean(path.symbols == 1)) == pytest.approx(p1, abs=3 * sigma)
 
     def test_rare_tail_abort_names_variate(self, inverse_square, monkeypatch):
-        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", "10")
+        monkeypatch.setattr(sampler, "MAX_SYMBOL", 10)
         with pytest.raises(RareTailError) as err:
             sample_scenery(inverse_square, 100, seed=0)
         assert 0.0 < err.value.variate < 1.0
         assert err.value.cap == 10
-
-    def test_env_var_overrides_cap(self, inverse_square, monkeypatch):
-        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", "17")
-        with pytest.raises(RareTailError) as err:
-            sample_scenery(inverse_square, 100, seed=0)
-        assert err.value.cap == 17
 
     def test_symbols_are_read_only(self, inverse_square, inversions):
         path = sample_scenery(inverse_square, 10, seed=1)
@@ -142,10 +135,10 @@ class TestLazyInversion:
         probs = ProbVector("inverse_square")
         path = sample_scenery(probs, 10 ** 6, seed=2)
         u = np.random.Generator(np.random.PCG64(2)).random(10 ** 6)
-        expected = np.searchsorted(inverse_square_cdf(sampler.DEFAULT_MAX_SYMBOL), u) + 1
+        expected = np.searchsorted(inverse_square_cdf(sampler.MAX_SYMBOL), u) + 1
         assert (expected > 2 * sampler._CDF_BLOCK).sum() >= 3
         assert (path.symbols == expected).all()
-        assert len(probs._cdf) <= sampler._CDF_BLOCK
+        assert np.shares_memory(probs.prefix_cdf(sampler._CDF_BLOCK), INVERSE_SQUARE_CDF)
 
     def test_record_recursion_inverts_only_what_it_reads(self, inverse_square, inversions):
         for seed in (2, 3):
@@ -166,7 +159,7 @@ class TestLazyInversion:
         over = np.flatnonzero(path.symbols > 1000)
         assert len(over) == 1 and over[0] + 1 > read
         u = np.random.Generator(np.random.PCG64(4)).random(10_000)
-        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", "1000")
+        monkeypatch.setattr(sampler, "MAX_SYMBOL", 1000)
         with pytest.raises(RareTailError) as err:
             sample_scenery(inverse_square, 10_000, seed=4)
         assert err.value.variate == float(u.max())
@@ -223,7 +216,7 @@ class TestCertifiedTailVerdict:
 
     @pytest.mark.parametrize("cap", [10, 1000, 10_001, 10 ** 6])
     def test_raises_exactly_when_the_full_cdf_does(self, monkeypatch, cap):
-        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", str(cap))
+        monkeypatch.setattr(sampler, "MAX_SYMBOL", cap)
         verdicts = set()
         for umax in tail_probes(cap):
             fixed_draws(monkeypatch, [0.5, umax])
@@ -240,7 +233,7 @@ class TestCertifiedTailVerdict:
 
     @pytest.mark.parametrize("cap", [10_001, 10 ** 6])
     def test_outside_the_band_builds_no_cdf(self, monkeypatch, cap):
-        monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", str(cap))
+        monkeypatch.setattr(sampler, "MAX_SYMBOL", cap)
         edge, margin = edge_and_margin(cap)
         for umax, fails in ((np.nextafter(edge - margin, 0.0), False),
                             (np.nextafter(edge + margin, 2.0), True)):
@@ -257,8 +250,8 @@ class TestCertifiedTailVerdict:
     def test_band_seed_completes_through_the_capped_cdf(self, monkeypatch):
         # seed 287345256 at horizon 1e6: the largest draw sits 1.54e-10 below
         # T(10^6), inside the margin, so only the capped CDF decides it; the
-        # CDF is walked to the cap in blocks, and the kept prefix stays short
-        cap = sampler.DEFAULT_MAX_SYMBOL
+        # CDF is walked to the cap in blocks past the fixed table
+        cap = sampler.MAX_SYMBOL
         umax = max_draw(287345256, 10 ** 6)
         edge, margin = edge_and_margin(cap)
         assert abs(umax - edge) <= margin and not past_cap(umax, cap)
@@ -274,31 +267,36 @@ class TestCertifiedTailVerdict:
         monkeypatch.setattr(probs, "cdf_block", spy)
         path = sample_scenery(probs, 10 ** 6, seed=287345256)
         assert max(reached) == cap
-        assert max(lengths) == len(probs._cdf) == sampler._CDF_BLOCK
+        assert max(lengths) == len(INVERSE_SQUARE_CDF) == sampler._CDF_BLOCK
         assert len(path) == 10 ** 6
 
     @pytest.mark.parametrize("seed, horizon", [(92, 10 ** 6), (884, 10 ** 4), (0, 10 ** 6)])
     def test_fault_seeds_name_their_largest_draw(self, inverse_square, seed, horizon):
         umax = max_draw(seed, horizon)
-        assert past_cap(umax, sampler.DEFAULT_MAX_SYMBOL)
+        assert past_cap(umax, sampler.MAX_SYMBOL)
         with pytest.raises(RareTailError) as err:
             sample_scenery(inverse_square, horizon, seed=seed)
         assert err.value.variate == umax
-        assert err.value.cap == sampler.DEFAULT_MAX_SYMBOL
+        assert err.value.cap == sampler.MAX_SYMBOL
 
 
-class TestCdfCoversOnlyWhatIsRead:
-    def test_run_seed_grows_the_cdf_only_over_inverted_draws(self, inversions):
-        # a fresh vector, not the shared fixture, so no earlier test has grown it
+class TestCdfTable:
+    def test_one_read_only_table_shared_and_left_unchanged(self):
+        assert len(INVERSE_SQUARE_CDF) == 1 << 14
+        assert not INVERSE_SQUARE_CDF.flags.writeable
+        before = INVERSE_SQUARE_CDF.copy()
         spec = load_spec(D1_CONFIG.read_text())
-        cap = sampler.DEFAULT_MAX_SYMBOL
-        need = 0
-        for seed in (2, 3):
-            inversions.clear()
+        for probs in (spec.probabilities, ProbVector("inverse_square")):
+            cdf = probs.prefix_cdf(1 << 14)
+            assert np.shares_memory(cdf, INVERSE_SQUARE_CDF) and not cdf.flags.writeable
+        with pytest.raises(ValueError):
+            spec.probabilities.prefix_cdf((1 << 14) + 1)
+        # the band seed's verdict walks blocks to the cap, and seed 2 inverted
+        # whole places draws far past the table
+        for seed in (2, 3, 287345256):
             pressure.run_seed(spec, seed, 10 ** 6, 3, [0.0])
-            u = np.random.Generator(np.random.PCG64(seed)).random(max(inversions))
-            need = max(need, covering_length(float(u.max()), cap))
-            assert len(spec.probabilities._cdf) <= need < cap
+        sample_scenery(spec.probabilities, 10 ** 6, seed=2).symbols
+        assert np.array_equal(INVERSE_SQUARE_CDF, before)
 
 
 class TestDominationStart:
