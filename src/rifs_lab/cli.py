@@ -33,9 +33,14 @@ from .rifs import (
 SCHEMA = "rifs-lab/1"
 
 
+def _open_out(out: Path | None):
+    """Text sink: the file ``out``, or stdout (left open) when ``out`` is None."""
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
+
+
 def _emit(doc: dict, out: Path | None = None) -> None:
     """Stream ``doc`` with the schema tag as indented JSON to ``out`` or stdout."""
-    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+    with _open_out(out) as fh:
         json.dump({"schema": SCHEMA, **doc}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -235,6 +240,17 @@ def _profile_from_args(args: argparse.Namespace):
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
+    """``cover exponents``, ``enum`` or ``points`` on one symbol prefix.
+
+    ``points`` checks d and the depth before it enumerates.  ``enum`` takes
+    every byte from ``json.dumps(indent=2, sort_keys=True)``: the document
+    is encoded once with a single probe cube whose corner entries are
+    ``%d`` placeholders, and split into a head, that cube's template and a
+    tail.  The cubes are then written :data:`cover.BLOCK` rows at a time,
+    each block by one ``%`` over the template repeated (``%d`` prints a
+    Python int as ``json`` does), so no per-word object is built and the
+    document is never held whole in memory.
+    """
     profile = _profile_from_args(args)
     if args.cover_cmd == "exponents":
         depths = _parse_list(args.depths, int, "--depths")
@@ -244,18 +260,32 @@ def cmd_cover(args: argparse.Namespace) -> int:
         lines = ["m,exponent"] + [f"{m},{e!r}" for m, e in pairs]
         _write_text("\n".join(lines) + "\n", args.out, rows=len(pairs))
         return 0
+    if args.cover_cmd == "points":
+        cover.PointExportError.check(args.d, args.depth)
 
     corners = cover.enumerate_cylinders(profile, args.depth, budget=args.budget)
-    if args.cover_cmd == "enum":
-        _emit({
-            "depth": args.depth,
-            "count": len(corners),
-            "osc": cover.osc_check(corners),
-            "cubes": [{"level": args.depth, "corner": row} for row in corners.tolist()],
-        }, args.out)
+    if args.cover_cmd == "points":
+        _write_text(cover.emit_points(corners, args.depth), args.out, rows=len(corners))
         return 0
 
-    _write_text(cover.emit_points(corners, args.depth), args.out, rows=len(corners))
+    text = json.dumps({
+        "schema": SCHEMA,
+        "depth": args.depth,
+        "count": len(corners),
+        "osc": cover.osc_check(corners),
+        "cubes": [{"level": args.depth, "corner": ["%d"] * args.d}],
+    }, indent=2, sort_keys=True)
+    start = text.rindex("{", 0, text.index('"%d"'))
+    end = text.index("}", text.rindex('"%d"')) + 1
+    cube = text[start:end].replace('"%d"', "%d")
+    sep = "," + text[text.rindex("\n", 0, start):start]  # between two cubes
+    with _open_out(args.out) as fh:
+        fh.write(text[:start])
+        for i in range(0, len(corners), cover.BLOCK):
+            rows = corners[i:i + cover.BLOCK]
+            fh.write(sep if i else "")
+            fh.write(sep.join([cube] * len(rows)) % tuple(rows.ravel().tolist()))
+        fh.write(text[end:] + "\n")
     return 0
 
 

@@ -25,6 +25,9 @@ DEFAULT_BUDGET = 2 ** 20
 #: Deepest level whose cube side 2^-level is a nonzero float (a subnormal).
 MAX_POINTS_LEVEL = 1074
 
+#: Rows formatted at a time by the ``cover enum`` and ``cover points`` writers.
+BLOCK = 1 << 15
+
 
 class BudgetError(RuntimeError):
     """Enumeration would exceed the word budget."""
@@ -40,6 +43,17 @@ class BudgetError(RuntimeError):
 
 class PointExportError(ValueError):
     """Point export beyond 3 coordinates or past :data:`MAX_POINTS_LEVEL`."""
+
+    @staticmethod
+    def check(d: int, level: int) -> None:
+        """Raise unless a level-``level`` cover in ``d`` coordinates can be
+        exported; cheap, so callers run it before they enumerate."""
+        if d > 3:
+            raise PointExportError(f"point export supports d <= 3, got d = {d}")
+        if level > MAX_POINTS_LEVEL:
+            raise PointExportError(
+                f"point export supports depth <= {MAX_POINTS_LEVEL}, where the side "
+                f"2^-depth is still a nonzero float; got depth {level}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +144,11 @@ def enumerate_cylinders(
         raise BudgetError(required, budget)
 
     dtype = np.int64 if depth <= 62 else object  # numerators are below 2^depth
-    vectors = np.array(list(itertools.product((0, 1), repeat=d)), dtype=dtype)
     corners = np.zeros((1, d), dtype=dtype)
+    if required == 1:
+        return corners
+    # built only once a step branches: then 2^d <= required <= budget
+    vectors = np.array(list(itertools.product((0, 1), repeat=d)), dtype=dtype)
     for k, full in enumerate(flags, start=1):
         if full:
             # each row branches into 2^d children, kept next to each other
@@ -164,16 +181,29 @@ def box_exponents(
 
 
 def emit_points(corners: np.ndarray, level: int) -> str:
-    """CSV of cube corners and side lengths for external plotting (d <= 3)."""
-    d = corners.shape[1]
-    if d > 3:
-        raise PointExportError(f"point export supports d <= 3, got d = {d}")
-    if level > MAX_POINTS_LEVEL:
-        raise PointExportError(
-            f"point export supports depth <= {MAX_POINTS_LEVEL}, where the side "
-            f"2^-depth is still a nonzero float; got depth {level}")
-    line = ",".join(["%r"] * d) + f",{2.0 ** -level!r}\n"  # %r formats a float as repr does
-    header = ",".join(["x", "y", "z"][:d]) + ",side\n"
-    # true division rounds once, also for numerators past the float range
-    coords = (corners / (1 << level)).tolist()
-    return header + "".join([line % tuple(row) for row in coords])
+    """CSV of cube corners and side lengths for external plotting (d <= 3).
+
+    A coordinate is ``repr`` of the corner numerator over 2^level, divided
+    once (true division rounds once, also for numerators past the float
+    range).  Division and ``repr`` run once per distinct value of a column,
+    and the rows are joined from those cells :data:`BLOCK` at a time.  In a
+    cover of N = 2^(d*B_m) words a column holds at most 2^B_m = N^(1/d)
+    distinct numerators, so ``repr`` runs at most d*N^(1/d) times, not d*N.
+    The CSV is still returned whole, as one ``str``: the CLI writes it in
+    one call, and the benchmark's per-layer tracer (``cover.points_bytes``)
+    reads its length.
+    """
+    n, d = corners.shape
+    PointExportError.check(d, level)
+    ends = [","] * (d - 1) + [f",{2.0 ** -level!r}\n"]
+    columns = []
+    for l in range(d):
+        values, index = np.unique(corners[:, l], return_inverse=True)
+        coords = (values / (1 << level)).tolist()
+        cells = np.array([repr(x) + ends[l] for x in coords], dtype=object)
+        columns.append((cells, index))
+    parts = [",".join(["x", "y", "z"][:d]) + ",side\n"]
+    for i in range(0, n, BLOCK):
+        rows = np.stack([cells[index[i:i + BLOCK]] for cells, index in columns], axis=1)
+        parts.append("".join(rows.ravel().tolist()))
+    return "".join(parts)

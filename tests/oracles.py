@@ -7,7 +7,9 @@ the two catches bugs on either side rather than sharing them.
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -180,3 +182,35 @@ def past_cap(umax: float, cap: int) -> bool:
     """The symbol-cap rule read off the whole capped CDF: a largest draw past
     its last value needs a symbol past the cap."""
     return umax > float(inverse_square_cdf(cap)[-1])
+
+
+# -- cover writers before block writing --------------------------------------------
+# Copies of the row-at-a-time writers that ``cover enum`` and ``cover points``
+# used before they wrote in blocks; the block writers must match them byte for byte.
+
+
+def cover_enum_reference(corners: np.ndarray, depth: int) -> str:
+    """``cover enum``'s document: one dict per word, encoded whole by
+    ``json.dump``; the open-set flag is read off distinct rows directly."""
+    rows = corners.tolist()
+    doc = {
+        "schema": "rifs-lab/1",
+        "depth": depth,
+        "count": len(rows),
+        "osc": len(set(map(tuple, rows))) == len(rows),
+        "cubes": [{"level": depth, "corner": row} for row in rows],
+    }
+    fh = io.StringIO()
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+def cover_points_reference(corners: np.ndarray, level: int) -> str:
+    """``cover points``'s CSV: every coordinate divided and printed with
+    ``%r``, one row at a time."""
+    d = corners.shape[1]
+    line = ",".join(["%r"] * d) + f",{2.0 ** -level!r}\n"
+    header = ",".join(["x", "y", "z"][:d]) + ",side\n"
+    coords = (corners / (1 << level)).tolist()
+    return header + "".join([line % tuple(row) for row in coords])

@@ -1,15 +1,18 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rifs_lab import cli, pressure
+from rifs_lab import build_branch_profile, cli, enumerate_cylinders, minimal_frame, pressure
+from rifs_lab.cover import BLOCK
 from rifs_lab.cli import main
 
-from conftest import frame_family_doc, two_ifs_doc
-from oracles import brute_force_cubes
+from conftest import frame_family_doc, load_json, two_ifs_doc
+from oracles import brute_force_cubes, cover_enum_reference, cover_points_reference
 
 D1_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "counterexample_d1.json")
 TWO_IFS_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "two_ifs.json")
@@ -269,6 +272,17 @@ class TestCoverCommand:
         assert lines[0] == "x,side"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--symbols", "1,1,1,1", "--d", "4", "--depth", "8"], "d <= 3"),
+        (["--symbols", "1,3", "--d", "1", "--depth", "1075"], "depth <= 1074"),
+    ])
+    def test_points_rejected_before_enumeration(self, capsys, argv, message):
+        # both covers exceed a one-word budget, so enumerating first would
+        # end in a budget error instead
+        code, doc = run_json(capsys, "cover", "points", *argv, "--budget", "1")
+        assert code == 2 and message in doc["error"]
+        assert "required_budget" not in doc
+
     def test_exponent_csv(self, capsys):
         code, out = run(capsys, "cover", "exponents", "--symbols", "1,2",
                         "--d", "1", "--depths", "2,10")
@@ -277,6 +291,51 @@ class TestCoverCommand:
         assert lines[0] == "m,exponent"
         assert lines[1] == "2,0.5"
         assert lines[2] == "10,0.1"
+
+
+class TestCoverWriters:
+    """``cover enum`` and ``cover points`` write in blocks; their bytes are
+    those of the row-at-a-time writers they replaced."""
+
+    # (symbols, d, depth, words): int64 corners through depth 62, Python ints beyond
+    COVERS = [
+        ((2, 1), 1, 18, 2 ** 10),
+        ((2, 1), 2, 12, 2 ** 8),
+        ((2, 1), 3, 12, 2 ** 12),
+        ((1, 3), 2, 100, 4),
+        ((1, 3), 3, 100, 8),
+        ((3, 1), 2, 5, 1),
+        ((3, 1), 3, 70, 1),
+        ((2, 3), 1, 80, 2 ** 16),  # more words than one block holds
+    ]
+
+    @pytest.mark.parametrize("symbols, d, depth, words", COVERS)
+    def test_match_row_writers(self, capsys, symbols, d, depth, words):
+        profile = build_branch_profile(symbols, minimal_frame(1), d)
+        corners = enumerate_cylinders(profile, depth)
+        assert len(corners) == words
+        assert corners.dtype == (object if depth > 62 else np.int64)
+        argv = ["--symbols", ",".join(map(str, symbols)), "--d", str(d), "--depth", str(depth)]
+        assert run(capsys, "cover", "enum", *argv) == (0, cover_enum_reference(corners, depth))
+        assert run(capsys, "cover", "points", *argv) == (0, cover_points_reference(corners, depth))
+
+    def test_enum_writes_the_same_bytes_to_stdout_and_out(self, capsys, tmp_path):
+        argv = ["cover", "enum", "--symbols", "2,3", "--d", "1", "--depth", "40"]
+        code, out = run(capsys, *argv)
+        path = tmp_path / "enum.json"
+        assert code == 0 and main(argv + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == out
+
+    def test_outputs_match_pinned_digests(self, capsys):
+        # recorded from the row-at-a-time writers, on a cover of 2^16 words
+        pinned = load_json("cover_digests.json")
+        assert pinned["words"] > BLOCK
+        for cmd in ("enum", "points"):
+            code, out = run(capsys, "cover", cmd, *pinned["argv"])
+            data = out.encode()
+            assert code == 0 and len(data) == pinned[cmd]["bytes"]
+            assert hashlib.sha256(data).hexdigest() == pinned[cmd]["sha256"]
 
 
 class TestSampleCommand:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from rifs_lab import build_branch_profile, minimal_frame
 from rifs_lab.cover import (
+    BLOCK,
     BudgetError,
     CylinderCode,
     PointExportError,
@@ -19,7 +22,7 @@ from rifs_lab.cover import (
 )
 from rifs_lab.pressure import refined_log_sum
 
-from oracles import brute_force_cubes
+from oracles import brute_force_cubes, cover_points_reference
 
 
 class TestCylinderToCube:
@@ -81,6 +84,18 @@ class TestEnumerateCylinders:
         profile = build_branch_profile((1, 4), frame5, 1)
         assert step_flags(profile, 3) == [False, True, False]
         assert enumerate_cylinders(profile, 3).tolist() == [[0], [2]]
+
+    def test_no_branching_step_builds_no_alphabet(self):
+        # a one-word cover at d = 16: the 2^16-row alphabet alone took 21 MiB
+        profile = build_branch_profile((1,), minimal_frame(1), 16)
+        tracemalloc.start()
+        try:
+            cubes = enumerate_cylinders(profile, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cubes.tolist() == [[0] * 16]
+        assert peak < 2 ** 20
 
     def test_budget_error_names_required(self, pseudo_frame):
         profile = build_branch_profile((3, 3, 3, 3), pseudo_frame, 2)
@@ -244,3 +259,14 @@ class TestEmitPoints:
         # each coordinate is the float of numerator * 2^-level
         row = [repr(c * 2.0 ** -9) for c in cubes[5].tolist()]
         assert text.split("\n")[6] == ",".join(row) + "," + repr(2.0 ** -9)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("level", [1, 62, 63, 1074])
+    def test_matches_row_writer_on_arbitrary_corners(self, d, level):
+        # unordered numerators, each column drawn from a pool of 40 values so
+        # that cells repeat, in more rows than one block holds
+        rng = random.Random(1000 * level + d)
+        pools = [[rng.getrandbits(level) for _ in range(40)] for _ in range(d)]
+        rows = [[rng.choice(pool) for pool in pools] for _ in range(BLOCK + 7)]
+        corners = np.array(rows, dtype=np.int64 if level <= 62 else object)
+        assert emit_points(corners, level) == cover_points_reference(corners, level)
