@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -389,7 +390,15 @@ _INPUT_ERRORS = (SpecValidationError, FrameError, OSError, json.JSONDecodeError,
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone before any write shows up here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: write nothing more, and point the real
+        # stdout at devnull so the flush at exit raises nothing either
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except cover.BudgetError as exc:
         return _fail(str(exc), {"required_budget": exc.required})
     except sampler.RareTailError as exc:

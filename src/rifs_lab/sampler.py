@@ -19,7 +19,6 @@ read; the verdict is certified from the law's closed-form tail.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +32,9 @@ MAX_SYMBOL = 10 ** 6
 #: Draws past the CDF table are placed by blocks of this many CDF values,
 #: each computed and dropped.
 _CDF_BLOCK = len(INVERSE_SQUARE_CDF)
+
+#: :func:`scenery_csv` formats this many rows at a time.
+_CSV_BLOCK = 1 << 14
 
 
 class RareTailError(RuntimeError):
@@ -134,10 +136,16 @@ class SceneryPath:
         return self._length
 
     def head(self, k: int) -> np.ndarray:
-        """The first ``k`` symbols, inverting more draws if needed."""
+        """The first ``k`` symbols, inverting more draws if needed.
+
+        Once every draw is inverted the draws are dropped: no later read
+        needs them, and the CSV of a whole path is built after such a read.
+        """
         if len(self._head) < min(k, len(self)):
             n = min(len(self), max(k, 2 * len(self._head)))
             self._head = _symbols(self._draws[:n], self._probs)
+            if n == len(self):
+                self._draws = None
         return self._head[:k]
 
     @property
@@ -263,10 +271,29 @@ def record_sequences(path: SceneryPath, count: int) -> RecordSequences:
 
 
 def scenery_csv(path: SceneryPath) -> str:
-    """CSV with one row per prefix: n, symbol, prefix_sum, prefix_mean."""
-    sums = path.prefix_sums
-    buf = io.StringIO()
-    buf.write("n,omega_n,prefix_sum,prefix_mean\n")
-    for i, (s, ps) in enumerate(zip(path.symbols, sums), start=1):
-        buf.write(f"{i},{int(s)},{int(ps)},{float(ps) / i!r}\n")
-    return buf.getvalue()
+    """CSV with one row per prefix: n, symbol, prefix_sum, prefix_mean.
+
+    Rows are formatted :data:`_CSV_BLOCK` at a time, each block by one
+    ``%`` over the row template repeated, from cells interleaved out of
+    ``tolist()`` columns.  The bytes are those of a per-row f-string:
+    ``%d`` prints a Python int as ``str`` does, ``%r`` is ``repr``, and the
+    int64 / int64 quotient is the single IEEE division ``float(ps) / n``
+    makes, after the same int64 to float64 cast (exact below 2^53, far
+    above the sums of any sampled scenery that fits in memory).  The means
+    are divided per block rather than read from
+    :attr:`SceneryPath.prefix_means`, which would hold one more float per
+    row.  One ``str`` is returned, which the CLI writes whole and whose
+    length the tracer reports.
+    """
+    symbols, sums = path.symbols, path.prefix_sums
+    parts = ["n,omega_n,prefix_sum,prefix_mean\n"]
+    for lo in range(0, len(path), _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, len(path))
+        n = np.arange(lo + 1, hi + 1)
+        cells = [None] * (4 * (hi - lo))
+        cells[0::4] = n.tolist()
+        cells[1::4] = symbols[lo:hi].tolist()
+        cells[2::4] = sums[lo:hi].tolist()
+        cells[3::4] = (sums[lo:hi] / n).tolist()
+        parts.append("%d,%d,%d,%r\n" * (hi - lo) % tuple(cells))
+    return "".join(parts)

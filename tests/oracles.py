@@ -214,3 +214,17 @@ def cover_points_reference(corners: np.ndarray, level: int) -> str:
     header = ",".join(["x", "y", "z"][:d]) + ",side\n"
     coords = (corners / (1 << level)).tolist()
     return header + "".join([line % tuple(row) for row in coords])
+
+
+# -- scenery writer before block writing --------------------------------------------
+
+
+def scenery_csv_reference(path) -> str:
+    """``sample``'s CSV as the row-at-a-time writer built it: one f-string
+    per row, the mean divided in Python floats."""
+    sums = path.prefix_sums
+    buf = io.StringIO()
+    buf.write("n,omega_n,prefix_sum,prefix_mean\n")
+    for i, (s, ps) in enumerate(zip(path.symbols, sums), start=1):
+        buf.write(f"{i},{int(s)},{int(ps)},{float(ps) / i!r}\n")
+    return buf.getvalue()

@@ -66,3 +66,22 @@ def test_tracer_reads_cover_layers(capsys, tmp_path):
     assert tracer.counts["cover.points_bytes"] == len(points.read_text())
     spans = {name for name, *_ in tracer.spans}
     assert {"cover.enumerate_cylinders", "cover.osc_check", "cover.emit_points"} <= spans
+
+
+def test_tracer_reads_scenery_csv(capsys, tmp_path):
+    tracing = load_tracing()
+    lib = {n: importlib.import_module(f"rifs_lab.{n}") for n in MODULES}
+    original = sampler.scenery_csv
+    out = tmp_path / "scenery.csv"
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer, lib)
+        code = main(["sample", "--seed", "3", "--horizon", "20000", "--out", str(out)])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert sampler.scenery_csv is original
+    # the hook reads len() of the returned text, which the CLI writes whole
+    assert tracer.counts["sampler.csv_bytes"] == len(out.read_text())
+    assert "sampler.scenery_csv" in {name for name, *_ in tracer.spans}

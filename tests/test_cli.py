@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from oracles import brute_force_cubes, cover_enum_reference, cover_points_refere
 
 D1_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "counterexample_d1.json")
 TWO_IFS_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "two_ifs.json")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -359,6 +363,26 @@ class TestSampleCommand:
         code, doc = run_json(capsys, "sample", flag, value)
         assert code == 2 and "error" in doc
 
+    def test_stdout_matches_out_file(self, capsys, tmp_path):
+        argv = ["sample", "--seed", "0", "--horizon", "100000"]
+        code, out = run(capsys, *argv)
+        path = tmp_path / "scenery.csv"
+        assert code == 0 and main(argv + ["--out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_text() == out
+
+    @pytest.mark.parametrize("law", ["inverse_square", "configs/two_ifs.json"])
+    def test_output_matches_pinned_digest(self, capsys, tmp_path, law):
+        # recorded from the row-at-a-time writer, on 10^5 rows
+        pinned = load_json("sample_digests.json")
+        config = [] if law == "inverse_square" else [str(ROOT / law)]
+        path = tmp_path / "scenery.csv"
+        assert main(["sample", *config, *pinned["argv"], "--out", str(path)]) == 0
+        capsys.readouterr()
+        data = path.read_bytes()
+        assert len(data) == pinned[law]["bytes"]
+        assert hashlib.sha256(data).hexdigest() == pinned[law]["sha256"]
+
     def test_config_probabilities(self, capsys, two_ifs_path):
         code, out = run(capsys, "sample", two_ifs_path, "--seed", "5",
                         "--horizon", "50")
@@ -455,6 +479,30 @@ class TestOutsideInput:
             Path(paths[name]).write_text(json.dumps(doc))
         code, doc = run_json(capsys, *[paths.get(a, a) for a in argv])
         assert code == 2 and "error" in doc
+
+
+class TestClosedPipe:
+    # each output is megabytes, far more than a pipe holds
+    @pytest.mark.parametrize("argv", [
+        ["cover", "enum", "--symbols", "2,1", "--d", "2", "--depth", "16"],
+        ["sample", "--seed", "0", "--horizon", "100000"],
+    ])
+    def test_reader_closing_early_ends_quietly(self, argv):
+        # buffered stdout, as Python sets it up by default
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "rifs_lab.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
 
 
 class TestSchemaDiscipline:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,11 @@ from oracles import (
     pair_two_stall_probability,
     past_cap,
     record_pairs_reference,
+    scenery_csv_reference,
 )
 
 D1_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "counterexample_d1.json"
+TWO_IFS_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "two_ifs.json"
 
 GOLDEN_SEED42 = [3, 1, 4, 2, 1, 25, 3, 3, 1, 1]
 
@@ -164,6 +167,39 @@ class TestLazyInversion:
             sample_scenery(inverse_square, 10_000, seed=4)
         assert err.value.variate == float(u.max())
         assert err.value.cap == 1000
+
+
+CSV_PROBS = {
+    "inverse_square": ProbVector("inverse_square"),
+    "two_ifs": load_spec(TWO_IFS_CONFIG.read_text()).probabilities,
+}
+
+
+class TestSceneryCsv:
+    @pytest.mark.parametrize("law", sorted(CSV_PROBS))
+    @pytest.mark.parametrize("length", [1, sampler._CSV_BLOCK - 1, sampler._CSV_BLOCK,
+                                        sampler._CSV_BLOCK + 1, 10 ** 5])
+    def test_matches_row_writer(self, law, length):
+        path = sample_scenery(CSV_PROBS[law], length, seed=0)
+        assert scenery_csv(path) == scenery_csv_reference(path)
+
+    def test_row_writer_match_covers_draws_past_the_table(self):
+        # the 10^5 case above places symbols by blocks of the CDF beyond the table
+        path = sample_scenery(CSV_PROBS["inverse_square"], 10 ** 5, seed=0)
+        assert int((path.symbols > sampler._CDF_BLOCK).sum()) == 6
+
+    def test_full_read_drops_the_draws(self, inverse_square):
+        # seed 2 at 10^6 completes; its int64 symbols are 8 MB, and the
+        # float64 draws would be 8 MB more
+        tracemalloc.start()
+        try:
+            path = sample_scenery(inverse_square, 10 ** 6, seed=2)
+            symbols = path.symbols
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current < 12 * 2 ** 20
+        assert (path.head(10) == symbols[:10]).all()
 
 
 def max_draw(seed: int, length: int) -> float:
