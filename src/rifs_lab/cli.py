@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -46,10 +47,18 @@ def _emit(doc: dict, out: Path | None = None) -> None:
         fh.write("\n")
 
 
+#: Most characters handed to one ``sys.stdout.write``.  An unbuffered stdout
+#: (``PYTHONUNBUFFERED``) passes each write to one raw ``write`` and ignores
+#: a short count, so a reader that has gone must meet a later slice, which
+#: raises ``BrokenPipeError``.
+_STDOUT_SLICE = 1 << 16
+
+
 def _write_text(text: str, out: Path | None, **fields) -> None:
     """Write CSV text to stdout, or to ``out`` and report it with ``fields``."""
     if out is None:
-        sys.stdout.write(text)
+        for i in range(0, len(text), _STDOUT_SLICE):
+            sys.stdout.write(text[i:i + _STDOUT_SLICE])
     else:
         out.write_text(text)
         _emit({"written": str(out), **fields})
@@ -312,7 +321,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call
+    in the process; :func:`main` runs ``cmd_<command>`` for the command it
+    parses, looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="rifs-lab",
         description="Random IFS lab: frames, dimension solvers, and the "
@@ -329,14 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", type=Path)
     p_val = frame_sub.add_parser("validate", help="check a frame file")
     p_val.add_argument("path")
-    p_frame.set_defaults(func=cmd_frame)
 
     p_dim = sub.add_parser("dimensions", help="Bowen and random-recursive dimensions")
     p_dim.add_argument("config", help="system config JSON")
     p_dim.add_argument("--tol", type=float, default=1e-9)
     p_dim.add_argument("--truncation", type=int, default=50)
     p_dim.add_argument("--out", type=Path)
-    p_dim.set_defaults(func=cmd_dimensions)
 
     p_ce = sub.add_parser("counterexample",
                           help="per-seed dimension-drop experiment")
@@ -348,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="record pairs (special times) per seed")
     p_ce.add_argument("--t-grid", default="0,0.5,1")
     p_ce.add_argument("--out", help="directory for per-seed CSV + summary.json")
-    p_ce.set_defaults(func=cmd_counterexample)
 
     p_cov = sub.add_parser("cover", help="cylinder covers of a fixed prefix")
     cov_sub = p_cov.add_subparsers(dest="cover_cmd", required=True)
@@ -367,14 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             pc.add_argument("--depth", type=int, required=True)
             pc.add_argument("--budget", type=int, default=cover.DEFAULT_BUDGET)
-    p_cov.set_defaults(func=cmd_cover)
 
     p_sam = sub.add_parser("sample", help="sample a scenery to CSV")
     p_sam.add_argument("config", nargs="?", help="optional config JSON for probabilities")
     p_sam.add_argument("--seed", type=int, default=0)
     p_sam.add_argument("--horizon", type=int, default=1000)
     p_sam.add_argument("--out", type=Path)
-    p_sam.set_defaults(func=cmd_sample)
 
     return parser
 
@@ -390,7 +398,7 @@ _INPUT_ERRORS = (SpecValidationError, FrameError, OSError, json.JSONDecodeError,
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a reader gone before any write shows up here
         return code
     except BrokenPipeError:

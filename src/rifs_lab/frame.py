@@ -6,10 +6,11 @@ the first single-map run length is at least 1, and level by level
 triple-exponentially and are held as :class:`HybridNumber` values.
 
 Generated frames (rules ``minimal`` and ``custom-slack``) materialize
-lazily: levels are appended on first access under a lock, so concurrent
-readers always observe a consistent prefix.  Explicit frames ingested from
-files cannot extend and raise :class:`FrameDepthError` past their last
-level.
+lazily into one process-wide level table per slack pair: levels are
+appended on first access under a lock, so concurrent readers always
+observe a consistent prefix, and each frame keeps its own depth.  Explicit
+frames ingested from files cannot extend and raise :class:`FrameDepthError`
+past their last level.
 """
 
 from __future__ import annotations
@@ -59,19 +60,34 @@ class FrameReport:
         }
 
 
+#: Level tables of the generated rules, keyed by slack pair, shared by every
+#: generated frame in the process; appended to only under ``_TABLE_LOCK``.
+#: A level that fails to materialize is not stored, so it raises each time.
+_TABLES: dict[tuple[int, int], list[FrameLevel]] = {}
+_TABLE_LOCK = threading.Lock()
+
+
 class Frame:
-    """Validated (U_n, V_n) schedule with optional lazy extension."""
+    """Validated (U_n, V_n) schedule with optional lazy extension.
+
+    An explicit frame holds ``levels``; a generated one (``rule`` minimal or
+    custom-slack) takes none and reads its rule's shared table.
+    """
 
     def __init__(
         self,
-        levels: Sequence[FrameLevel],
+        levels: Sequence[FrameLevel] = (),
         rule: str = "explicit",
         slack: tuple[int, int] | None = None,
     ):
         self.rule = rule
         self.slack = slack
-        self._levels: list[FrameLevel] = list(levels)
-        self._lock = threading.Lock()
+        if self.is_generated:
+            self._levels = _TABLES.setdefault(slack or (1, 1), [])
+            self._depth = 0
+        else:
+            self._levels = list(levels)
+            self._depth = len(self._levels)
 
     # -- construction ---------------------------------------------------
 
@@ -88,7 +104,7 @@ class Frame:
                     for u, v in pairs], rule="explicit")
 
     def __len__(self) -> int:
-        return len(self._levels)
+        return self._depth
 
     @property
     def is_generated(self) -> bool:
@@ -100,18 +116,20 @@ class Frame:
         """Level ``n`` (1-indexed), extending generated frames on demand."""
         if n < 1:
             raise FrameDepthError(f"frame levels are 1-indexed, got {n}")
-        if n <= len(self._levels):
+        if n <= self._depth:
             return self._levels[n - 1]
         if not self.is_generated:
             raise FrameDepthError(
-                f"frame has {len(self._levels)} levels, level {n} requested"
+                f"frame has {self._depth} levels, level {n} requested"
             )
-        with self._lock:
+        with _TABLE_LOCK:
             while len(self._levels) < n:
                 self._extend_one()
+            self._depth = max(self._depth, n)
         return self._levels[n - 1]
 
     def _extend_one(self) -> None:
+        """Append the next level to the shared table (``_TABLE_LOCK`` held)."""
         su, sv = self.slack or (1, 1)
         k = len(self._levels)
         try:
@@ -131,11 +149,11 @@ class Frame:
 
     def to_doc(self) -> object:
         if self.rule == "minimal":
-            return {"rule": "minimal", "levels": len(self._levels)}
+            return {"rule": "minimal", "levels": self._depth}
         if self.rule == "custom-slack":
             return {
                 "rule": "custom-slack",
-                "levels": len(self._levels),
+                "levels": self._depth,
                 "slack": list(self.slack or (1, 1)),
             }
         out = []
@@ -158,7 +176,7 @@ def minimal_frame(levels: int, slack: tuple[int, int] | None = None) -> Frame:
     rule = "minimal" if slack in (None, (1, 1)) else "custom-slack"
     if slack is not None and (slack[0] < 1 or slack[1] < 1):
         raise FrameError("slack multipliers must be positive integers")
-    frame = Frame([], rule=rule, slack=slack)
+    frame = Frame(rule=rule, slack=slack)
     frame.entry(levels)
     return frame
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rifs_lab import build_branch_profile, cli, enumerate_cylinders, minimal_frame, pressure
+from rifs_lab import (Frame, build_branch_profile, cli, enumerate_cylinders, minimal_frame,
+                      pressure)
 from rifs_lab.cover import BLOCK
 from rifs_lab.cli import main
 
@@ -481,6 +483,14 @@ class TestOutsideInput:
         assert code == 2 and "error" in doc
 
 
+def _child_env(**extra) -> dict:
+    """This environment for a ``python -m rifs_lab.cli`` child, with ``extra``."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
 class TestClosedPipe:
     # each output is megabytes, far more than a pipe holds
     @pytest.mark.parametrize("argv", [
@@ -503,6 +513,91 @@ class TestClosedPipe:
             proc.kill()
             proc.stderr.close()
         assert err == b""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--seed", "0", "--horizon", "100000"],
+        ["cover", "points", "--symbols", "2,1", "--d", "2", "--depth", "16"],
+    ])
+    def test_reader_closing_early_ends_quietly_unbuffered(self, argv):
+        # an unbuffered stdout ignores a short write, so a single write of
+        # the whole CSV would drop the rest and exit 0
+        proc = subprocess.Popen([sys.executable, "-m", "rifs_lab.cli", *argv],
+                                env=_child_env(PYTHONUNBUFFERED="1"),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
+
+
+class TestSharedConstants:
+    """In-process calls share the parser and the generated frames' levels."""
+
+    def test_frame_gen_after_deep_sweep_matches_a_fresh_process(self, capsys):
+        # seed 891 unrolls the minimal frame to level 646 and fails at 647
+        _, doc = run_json(capsys, "counterexample", D1_CONFIG, "--seeds", "891",
+                          "--pairs", "3")
+        assert "frame level 647" in doc["per_seed"][0]["error"]
+        for argv in (["frame", "gen", "--levels", "3"],
+                     ["frame", "gen", "--levels", "9", "--slack", "2", "1"]):
+            _, here = run(capsys, *argv)
+            fresh = subprocess.run([sys.executable, "-m", "rifs_lab.cli", *argv],
+                                   env=_child_env(), capture_output=True, text=True,
+                                   check=True).stdout
+            assert here == fresh
+
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        """The top-level parsers constructed while the test runs."""
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("prog") == "rifs-lab":
+                built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built
+
+    def test_second_sweep_materialises_no_level(self, capsys, monkeypatch):
+        calls = []
+        original = Frame._extend_one
+
+        def counting(self):
+            calls.append(len(self._levels))
+            return original(self)
+
+        argv = ["counterexample", D1_CONFIG, "--seeds", "600:20", "--pairs", "3"]
+        first = run(capsys, *argv)
+        monkeypatch.setattr(Frame, "_extend_one", counting)
+        assert run(capsys, *argv) == first
+        assert calls == []
+
+    def test_parser_is_built_once(self, capsys, parsers_built):
+        for _ in range(5):
+            run_json(capsys, "frame", "gen", "--levels", "2")
+        assert len(parsers_built) <= 1
+
+    def test_handler_replaced_after_the_parser_is_built_runs(self, capsys, monkeypatch,
+                                                              parsers_built):
+        # as a tracer does: wrap a command on the module, then put it back
+        argv = ["sample", "--seed", "3", "--horizon", "5"]
+        _, plain = run(capsys, *argv)
+        ran = []
+        original = cli.cmd_sample
+        monkeypatch.setattr(cli, "cmd_sample", lambda args: ran.append(args.seed) or 7)
+        assert main(argv) == 7
+        assert ran == [3]
+        monkeypatch.setattr(cli, "cmd_sample", original)
+        assert run(capsys, *argv) == (0, plain)
+        assert ran == [3]
+        assert len(parsers_built) <= 1
 
 
 class TestSchemaDiscipline:

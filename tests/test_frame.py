@@ -12,6 +12,7 @@ from rifs_lab.frame import (
     minimal_frame,
     validate_frame,
 )
+from rifs_lab.numerics import HybridNumber
 
 from oracles import minimal_frame_pairs
 
@@ -144,6 +145,75 @@ class TestConcurrentExtension:
             t.join()
         assert len(set(results)) == 1
         assert len(frame) == 12
+
+
+class TestSharedLevelTable:
+    """Generated frames of one rule read one process-wide level table."""
+
+    def test_depth_stays_per_frame(self):
+        minimal_frame(2).entry(40)
+        f = minimal_frame(2)
+        assert len(f) == 2
+        assert f.to_doc() == {"rule": "minimal", "levels": 2}
+
+    def test_minimal_and_slack_frames_never_share_levels(self):
+        slack = minimal_frame(5, slack=(2, 1))
+        tight = minimal_frame(5)
+        u, want = 1, []
+        for n in range(1, 6):  # U_{n+1} = 2 (U_n + V_n)^3, V_n = n U_n
+            want.append((u, n * u))
+            u = 2 * (u + n * u) ** 3
+        for n in range(1, 6):
+            assert (slack.entry(n).u.as_int(), slack.entry(n).v.as_int()) == want[n - 1]
+            assert (tight.entry(n).u.as_int(), tight.entry(n).v.as_int()) \
+                == minimal_frame_pairs(5)[n - 1]
+        assert minimal_frame(5).entry(5) is tight.entry(5)
+        assert slack.entry(5) is not tight.entry(5)
+
+    def test_failed_level_raises_on_every_request(self):
+        f = minimal_frame(2)
+        for frame in (f, f, minimal_frame(2)):
+            with pytest.raises(FrameDepthError, match="level 647 exceeds"):
+                frame.entry(647)
+        assert f.entry(646).u.log2 > 0
+        assert len(f) == 646
+        with pytest.raises(FrameDepthError, match="level 647 exceeds"):
+            minimal_frame(647)
+
+    def test_concurrent_frames_extend_one_table_in_order(self):
+        import sys
+        import threading
+
+        slack = (5, 7)  # a rule no other test uses, so its table starts empty
+        depths = [40, 25, 60, 10, 55, 33, 48, 60, 17, 29, 60, 5]
+        seen = {}
+        start = threading.Barrier(len(depths))
+
+        def reader(i, n):
+            frame = minimal_frame(1, slack=slack)
+            start.wait(timeout=30)
+            seen[i] = frame.entry(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i, n))
+                       for i, n in enumerate(depths)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        f = minimal_frame(1, slack=slack)
+        assert all(seen[i] is f.entry(n) for i, n in enumerate(depths))
+        # each level appended once, in order: the serial recursion, step by step
+        u = HybridNumber.from_int(1)
+        for n in range(1, 61):
+            v = u.scale(7 * n)
+            assert (f.entry(n).u.log2, f.entry(n).v.log2) == (u.log2, v.log2)
+            u = u.add(v).pow3().scale(5)
 
 
 class TestPromotedLevelAxioms:

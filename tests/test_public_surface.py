@@ -44,16 +44,16 @@ def test_every_cli_flag_is_read():
     assert unread == []
 
 
-def _leaf_commands(parser: argparse.ArgumentParser, func=None, name=""):
+def _leaf_commands(parser: argparse.ArgumentParser, name=""):
     """(command name, handler, own settable actions) for every leaf subparser;
-    a subparser inherits the handler that an ancestor sets as its default."""
-    func = parser._defaults.get("func", func)
+    ``cli.main`` runs ``cli.cmd_<top-level command>`` for each leaf."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
+        func = getattr(cli, f"cmd_{name.split()[0]}")
         yield name, func, [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
     for action in subs:
         for sub_name, sub in action.choices.items():
-            yield from _leaf_commands(sub, func, f"{name} {sub_name}".strip())
+            yield from _leaf_commands(sub, f"{name} {sub_name}".strip())
 
 
 def _args_read(func) -> set[str]:
