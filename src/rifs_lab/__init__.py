@@ -20,7 +20,7 @@ from .frame import Frame, FrameError, frame_from_doc, minimal_frame, validate_fr
 from .numerics import HybridNumber
 from .pressure import CoverageError, build_branch_profile
 from .rifs import ProbVector, SpecValidationError, check_bowen_hypothesis, load_spec
-from .sampler import RareTailError, domination_start, sample_scenery, scenery_csv
+from .sampler import RareTailError, sample_scenery, scenery_csv
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "box_exponents",
     "build_branch_profile",
     "check_bowen_hypothesis",
-    "domination_start",
     "emit_points",
     "enumerate_cylinders",
     "expected_log_fitness",

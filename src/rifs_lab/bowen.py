@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .numerics import log_sum_exp2_values
-from .rifs import IFSDescriptor, RIFSSpec, SpecValidationError, zeta_probability
+from .rifs import RIFSSpec, SpecValidationError, zeta_probability
 
 _LN2 = math.log(2.0)
 
@@ -66,34 +66,45 @@ def _json_float(x: float) -> float | str:
     return x if math.isfinite(x) else repr(x)
 
 
-def log_fitness(ifs: IFSDescriptor, t: float) -> float:
-    """Natural log of sum_j c_j^t for one system.
+def log_fitness(spec: RIFSSpec, i: int, t: float) -> float:
+    """Natural log of sum_j c_j^t for system i of ``spec``.
 
     Explicit systems: a stable log-sum over (ratio, multiplicity) aggregates.
     Frame level i: the closed form (-t*U_i + (d-t)*V_i) * ln 2, evaluated
-    from the level's log2 data; it saturates to +-inf once the entries leave
-    float range, with the sign settled by comparing term magnitudes.
+    from the level's float data while it fits.  Past float range it
+    saturates to +-inf, or is 0.0 when the value is exactly zero, and the
+    sign is that of (d*q - p)*V_i - p*U_i for t = p/q exactly: taken from a
+    generated rule's exact ratio V_i/U_i, or from the integers of an exact
+    explicit level.  An explicit level promoted past 4096 bits has neither,
+    and compares log2 magnitudes, which cannot resolve a factor such as n in
+    V_n = n*U_n past level ~33.
     """
     if t < 0:
         raise ValueError("the exponent t must be >= 0")
-    if not ifs.is_frame_generated:
+    if not spec.is_frame_family:
         l2 = log_sum_exp2_values(
-            math.log2(a.multiplicity) + t * a.log2_ratio for a in ifs.aggregates
+            math.log2(a.multiplicity) + t * a.log2_ratio for a in spec.systems[i - 1]
         )
         return l2 * _LN2
-    u, v, d = ifs.u, ifs.v, ifs.d
+    level = spec.frame.entry(i)
+    u, v, d = level.u, level.v, spec.d
     if u.log2 <= _FLOAT_SAFE_LOG2 and v.log2 <= _FLOAT_SAFE_LOG2:
         return (-t * u.to_float() + (d - t) * v.to_float()) * _LN2
-    # Entries out of float range: only the sign survives.
     if t >= d:
         return -math.inf
-    if t == 0.0:
+    p, q = t.as_integer_ratio()
+    ratio = spec.frame.ratio(i)
+    if ratio is not None:
+        sign = (d * q - p) * ratio - p
+    elif u.is_exact and v.is_exact:
+        sign = (d * q - p) * v.as_int() - p * u.as_int()
+    elif t == 0.0:
         return math.inf
-    # sign of (d-t)*V - t*U via log2 magnitudes; V >= n*U makes the positive
-    # term dominate at every frame level deep enough to land here.
-    pos = math.log2(d - t) + v.log2
-    neg = math.log2(t) + u.log2
-    return math.inf if pos >= neg else -math.inf
+    else:
+        pos = math.log2(d - t) + v.log2
+        neg = math.log2(t) + u.log2
+        return math.inf if pos >= neg else -math.inf
+    return math.inf if sign > 0 else -math.inf if sign < 0 else 0.0
 
 
 def expected_log_fitness(spec: RIFSSpec, t: float, truncation: int = 50) -> DivergenceVerdict:
@@ -115,7 +126,7 @@ def expected_log_fitness(spec: RIFSSpec, t: float, truncation: int = 50) -> Dive
         support = spec.probabilities.support()
         total = 0.0
         for i in support:
-            total += spec.probabilities.probability(i) * log_fitness(spec.descriptor(i), t)
+            total += spec.probabilities.probability(i) * log_fitness(spec, i, t)
         return DivergenceVerdict(
             kind="converges", terms_used=len(support), partial_sum=total, value=total
         )
@@ -126,7 +137,7 @@ def expected_log_fitness(spec: RIFSSpec, t: float, truncation: int = 50) -> Dive
         )
     partial = 0.0
     for k in range(1, truncation + 1):
-        term = zeta_probability(k) * log_fitness(spec.descriptor(k), t)
+        term = zeta_probability(k) * log_fitness(spec, k, t)
         partial = term if math.isinf(term) else partial + term
     kind = "diverges_minus" if t >= spec.d else "diverges_plus"
     return DivergenceVerdict(kind=kind, terms_used=truncation, partial_sum=partial)
@@ -136,23 +147,15 @@ def bowen_parameter(spec: RIFSSpec, tol: float = 1e-9, truncation: int = 50) -> 
     """Infimum of t >= 0 with expected log fitness <= 0.
 
     Finite systems: bracket by doubling, then bisect the strictly decreasing
-    expectation to width ``tol``.  Frame families: the classifier certifies
-    divergence to -inf at t = d and to +inf at t = d*(1 - tol), so the
-    infimum is exactly d.
+    expectation to width ``tol``.  A frame family under inverse-square
+    probabilities needs no evaluation: the harmonic comparison of
+    :func:`expected_log_fitness` certifies divergence to -inf at every
+    t >= d and to +inf at every t < d, so the infimum is exactly d.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-
     if spec.is_frame_family and not spec.probabilities.is_finite:
-        d = float(spec.d)
-        at_d = expected_log_fitness(spec, d, truncation)
-        below = expected_log_fitness(spec, d * (1.0 - tol), truncation)
-        if at_d.kind != "diverges_minus" or below.kind != "diverges_plus":
-            raise UnboundedDimensionError(
-                f"divergence classifier returned {at_d.kind} at t={d} and "
-                f"{below.kind} just below; expected the certified pair"
-            )
-        return d
+        return float(spec.d)
 
     def expectation(t: float) -> float:
         return expected_log_fitness(spec, t, truncation).value
@@ -183,7 +186,7 @@ def mauldin_dimension(spec: RIFSSpec, tol: float = 1e-9) -> float:
         terms = []
         for i in support:
             lp = math.log2(spec.probabilities.probability(i))
-            for agg in spec.descriptor(i).aggregates:
+            for agg in spec.systems[i - 1]:
                 terms.append(lp + math.log2(agg.multiplicity) + t * agg.log2_ratio)
         return log_sum_exp2_values(terms)
 

@@ -128,17 +128,21 @@ class Frame:
             self._depth = max(self._depth, n)
         return self._levels[n - 1]
 
+    def ratio(self, n: int) -> int | None:
+        """V_n / U_n of a generated frame, n*sv exactly by its rule, at any
+        level and in any form of the entries; None for an explicit frame."""
+        return n * (self.slack or (1, 1))[1] if self.is_generated else None
+
     def _extend_one(self) -> None:
         """Append the next level to the shared table (``_TABLE_LOCK`` held)."""
-        su, sv = self.slack or (1, 1)
         k = len(self._levels)
         try:
             if k == 0:
                 u = HybridNumber.from_int(1)
             else:
                 prev = self._levels[-1]
-                u = prev.u.add(prev.v).pow3().scale(su)
-            v = u.scale((k + 1) * sv)
+                u = prev.u.add(prev.v).pow3().scale((self.slack or (1, 1))[0])
+            v = u.scale(self.ratio(k + 1))
         except ValueError as exc:  # log2 magnitude left float range
             raise FrameDepthError(
                 f"frame level {k + 1} exceeds representable magnitude"

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import Frame, frame_from_doc
-from .numerics import HybridNumber
 
 #: Basel constant, the normalizer of the inverse-square probability vector.
 INVERSE_SQUARE_C = math.pi ** 2 / 6
@@ -132,93 +131,24 @@ class MapAggregate:
 
 
 @dataclass(frozen=True, eq=False)
-class IFSDescriptor:
-    """Metric description of one IFS: ratio aggregates or a frame level.
-
-    Frame-generated descriptors carry the level data instead of aggregates:
-    level i consists of 2**(d*V_i) maps, all with ratio 2**-(U_i+V_i), and
-    those exponents outgrow floats long before the counts do.
-    """
-
-    aggregates: tuple[MapAggregate, ...] = ()
-    frame: Frame | None = None
-    level: int = 0
-    d: int = 0
-
-    @property
-    def is_frame_generated(self) -> bool:
-        return self.frame is not None
-
-    @property
-    def u(self) -> HybridNumber:
-        return self.frame.entry(self.level).u
-
-    @property
-    def v(self) -> HybridNumber:
-        return self.frame.entry(self.level).v
-
-    def map_count(self) -> HybridNumber:
-        """Total number of maps.
-
-        For frame-generated descriptors this is 2**(d*V_i), which stops being
-        representable even in log form once V_i leaves float range; levels
-        that deep raise rather than silently saturate.
-        """
-        if not self.is_frame_generated:
-            return HybridNumber.from_int(sum(a.multiplicity for a in self.aggregates))
-        v = self.v
-        if v.is_exact and self.d * v.as_int() <= 64 * 1024:
-            return HybridNumber.from_int(1 << (self.d * v.as_int()))
-        vf = v.to_float()
-        if not math.isfinite(self.d * vf):
-            raise SpecValidationError(
-                f"map count at level {self.level} exceeds representable range"
-            )
-        return HybridNumber.from_log2(self.d * vf)
-
-    def max_log2_ratio(self) -> float:
-        """log2 of the largest contraction ratio (the one closest to 1) of an
-        explicit system."""
-        return max(a.log2_ratio for a in self.aggregates)
-
-
-def counterexample_ifs(frame: Frame, d: int, i: int) -> IFSDescriptor:
-    """Level-i member of the frame family on [0,1]^d.
-
-    U_i single-map (corner) composition steps followed by V_i full-branching
-    steps: 2**(d*V_i) maps, every one with contraction ratio 2**-(U_i+V_i).
-    """
-    if d < 1:
-        raise SpecValidationError("ambient dimension d must be >= 1")
-    if i < 1:
-        raise SpecValidationError("family levels are 1-indexed")
-    frame.entry(i)  # raises FrameDepthError when unavailable
-    return IFSDescriptor(frame=frame, level=i, d=d)
-
-
-@dataclass(frozen=True, eq=False)
 class RIFSSpec:
-    """A probability vector plus an indexed family of IFS descriptors."""
+    """A probability vector plus the family it picks from.
+
+    Either ``systems``, one tuple of ratio aggregates per explicit system,
+    or a ``frame`` and dimension ``d``: frame level i is the system of
+    2**(d*V_i) maps on [0,1]^d, every one with ratio 2**-(U_i+V_i), whose
+    exponents outgrow floats long before the counts do.
+    """
 
     probabilities: ProbVector
-    kind: str  # "explicit" | "frame"
-    ifs: tuple[IFSDescriptor, ...] = ()
+    systems: tuple[tuple[MapAggregate, ...], ...] = ()
     frame: Frame | None = None
     d: int = 0
     eta: float = 0.0
 
     @property
     def is_frame_family(self) -> bool:
-        return self.kind == "frame"
-
-    def descriptor(self, i: int) -> IFSDescriptor:
-        if self.kind == "frame":
-            return counterexample_ifs(self.frame, self.d, i)
-        if not 1 <= i <= len(self.ifs):
-            raise SpecValidationError(
-                f"family has {len(self.ifs)} systems, index {i} requested"
-            )
-        return self.ifs[i - 1]
+        return self.frame is not None
 
 
 @dataclass(frozen=True)
@@ -232,60 +162,45 @@ class HypothesisReport:
         return {"holds": self.holds, "reasons": list(self.reasons)}
 
 
-#: Frame levels that :func:`check_bowen_hypothesis` compares under
-#: inverse-square probabilities; a finite vector's support is compared whole.
-_PROBE_LEVELS = 8
-
-
 def check_bowen_hypothesis(spec: RIFSSpec) -> HypothesisReport:
     """Do all systems carrying positive probability share one index set?
 
     With aggregate storage the checkable proxy is an equal total map count
-    under a consistent indexing.  The ratio-boundedness condition for
-    genuinely infinite alphabets cannot be instantiated here and is reported
-    as not applicable.
+    under a consistent indexing.  Frame levels never share one: the axioms
+    give V_{n+1} >= (n+1)(U_n+V_n)^3 > V_n, so the first two charged levels
+    are named.  The ratio-boundedness condition for genuinely infinite
+    alphabets cannot be instantiated here and is reported as not applicable.
     """
     reasons: list[str] = []
-    finite = spec.probabilities.is_finite
     if spec.is_frame_family:
-        first, *rest = spec.probabilities.support() if finite else range(1, _PROBE_LEVELS + 1)
-        base = spec.descriptor(first)
-        for i in rest:
-            other = spec.descriptor(i)
-            if other.v != base.v:
-                reasons.append(
-                    f"map counts differ between levels {first} and {i} "
-                    f"({_count_label(base)} vs {_count_label(other)})"
-                )
-                break
-        holds = not reasons
-        if holds and not finite:
-            reasons.append("probed levels share one map count; deeper levels unchecked")
+        charged = spec.probabilities.support() if spec.probabilities.is_finite else [1, 2]
+        if len(charged) > 1:
+            first, second = charged[:2]
+            reasons.append(
+                f"map counts differ between levels {first} and {second} "
+                f"({_count_label(spec, first)} vs {_count_label(spec, second)})"
+            )
     else:
-        support = spec.probabilities.support() if finite else range(1, len(spec.ifs) + 1)
-        counts = {}
-        for i in support:
-            counts[i] = sum(a.multiplicity for a in spec.descriptor(i).aggregates)
-        distinct = sorted(set(counts.values()))
-        if len(distinct) > 1:
-            pairs = sorted(counts.items())
+        counts = {i: sum(a.multiplicity for a in spec.systems[i - 1])
+                  for i in spec.probabilities.support()}
+        if len(set(counts.values())) > 1:
             reasons.append(
                 "map counts differ across positive-probability systems: "
-                + ", ".join(f"#{i}: {c}" for i, c in pairs)
+                + ", ".join(f"#{i}: {c}" for i, c in counts.items())
             )
-        holds = not reasons
+    holds = not reasons
     reasons.append("infinite-alphabet ratio condition: not applicable to finite systems")
     return HypothesisReport(holds=holds, reasons=tuple(reasons))
 
 
-def _count_label(desc: IFSDescriptor) -> str:
-    try:
-        count = desc.map_count()
-        if count.is_exact and count.as_int().bit_length() <= 64:
-            return str(count.as_int())
-        return f"2^{count.log2:.6g}"
-    except SpecValidationError:
-        return f"2^(d*V_{desc.level})"
+def _count_label(spec: RIFSSpec, i: int) -> str:
+    """2**(d*V_i), frame level i's map count: in decimal below 2**64, as
+    ``2^x`` while d*V_i is a finite float, and as ``2^(d*V_i)`` past that."""
+    v = spec.frame.entry(i).v
+    if v.is_exact and spec.d * v.as_int() < 64:
+        return str(1 << spec.d * v.as_int())
+    log2 = spec.d * v.to_float()
+    return f"2^{log2:.6g}" if math.isfinite(log2) else f"2^(d*V_{i})"
 
 
 # -- config ingestion -------------------------------------------------------
@@ -356,7 +271,7 @@ def validate_spec(doc: dict) -> RIFSSpec:
                 "inverse-square probabilities put mass on every level; "
                 "only a frame family provides one"
             )
-        descriptors = []
+        systems = []
         for idx, entry in enumerate(raw_ifs, start=1):
             maps = entry.get("maps") if isinstance(entry, dict) else None
             if not isinstance(maps, list) or not maps:
@@ -380,21 +295,20 @@ def validate_spec(doc: dict) -> RIFSSpec:
                 aggs.append(MapAggregate(r, mult))
             if sum(a.multiplicity for a in aggs) < 2:
                 raise SpecValidationError(f"system #{idx}: needs at least 2 maps")
-            descriptors.append(IFSDescriptor(aggregates=tuple(aggs)))
-        if len(probs.values) > len(descriptors) and any(
-            p > 0 for p in probs.values[len(descriptors):]
+            systems.append(tuple(aggs))
+        if len(probs.values) > len(systems) and any(
+            p > 0 for p in probs.values[len(systems):]
         ):
             raise SpecValidationError(
                 "probability vector puts mass beyond the last system"
             )
-        max_ratio = max(d.max_log2_ratio() for d in descriptors)
+        max_ratio = max(a.log2_ratio for aggs in systems for a in aggs)
         eta = _eta(doc, max_ratio)
         if 2.0 ** max_ratio >= eta:
             raise SpecValidationError(
                 f"eta = {eta} does not dominate the largest ratio 2^{max_ratio}"
             )
-        return RIFSSpec(probabilities=probs, kind="explicit",
-                        ifs=tuple(descriptors), eta=eta)
+        return RIFSSpec(probabilities=probs, systems=tuple(systems), eta=eta)
 
     if fam_kind == "frame":
         if "frame" not in family_doc:
@@ -415,7 +329,7 @@ def validate_spec(doc: dict) -> RIFSSpec:
                     f"probabilities charge level {max(probs.support())}, past the "
                     f"explicit frame's last level {len(frame)}"
                 )
-        return RIFSSpec(probabilities=probs, kind="frame", frame=frame, d=d, eta=eta)
+        return RIFSSpec(probabilities=probs, frame=frame, d=d, eta=eta)
 
     raise SpecValidationError(f"unknown family kind {fam_kind!r}")
 

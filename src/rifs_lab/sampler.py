@@ -108,7 +108,7 @@ def _past_cap(probs: ProbVector, umax: float) -> bool:
 
 
 class SceneryPath:
-    """Finite prefix of a scenery (int64 symbols >= 1) with its seed provenance.
+    """Finite prefix of a scenery (int64 symbols >= 1).
 
     Built from explicit symbols, or by :func:`sample_scenery` from uniform
     draws and their probability vector.  In the second case the leading
@@ -117,18 +117,17 @@ class SceneryPath:
     Symbol arrays handed out are read-only.
     """
 
-    def __init__(self, symbols: np.ndarray, seed: int):
+    def __init__(self, symbols: np.ndarray):
         if len(symbols) and symbols.min() < 1:
             raise ValueError("scenery symbols must be >= 1")
         symbols.setflags(write=False)
-        self.seed = seed
         self._head = symbols
         self._length = len(symbols)
         self._draws, self._probs = None, None
 
     @classmethod
-    def from_draws(cls, draws: np.ndarray, probs: ProbVector, seed: int) -> SceneryPath:
-        path = cls(np.empty(0, dtype=np.int64), seed)
+    def from_draws(cls, draws: np.ndarray, probs: ProbVector) -> SceneryPath:
+        path = cls(np.empty(0, dtype=np.int64))
         path._draws, path._probs, path._length = draws, probs, len(draws)
         return path
 
@@ -176,23 +175,7 @@ def sample_scenery(probs: ProbVector, length: int, seed: int) -> SceneryPath:
     u = rng.random(length)
     if not probs.is_finite and _past_cap(probs, umax := float(u.max())):
         raise RareTailError(umax, MAX_SYMBOL)
-    return SceneryPath.from_draws(u, probs, seed)
-
-
-def domination_start(path: SceneryPath) -> int:
-    """Smallest N with prefix_sum(n) >= n for every n from N to the horizon.
-
-    Symbols here are integers >= 1, which forces prefix sums to dominate
-    their length everywhere, so N = 1; the scan stays general for other
-    observable streams.  The guarantee is horizon-limited by construction.
-    """
-    sums = path.prefix_sums
-    idx = np.arange(1, len(sums) + 1)
-    bad = np.nonzero(sums < idx)[0]
-    n = int(bad[-1]) + 2 if len(bad) else 1
-    if np.all(path.symbols >= 1) and n != 1:
-        raise AssertionError("prefix sums of symbols >= 1 must dominate from n = 1")
-    return n
+    return SceneryPath.from_draws(u, probs)
 
 
 @dataclass(frozen=True)
@@ -244,8 +227,8 @@ def record_sequences(path: SceneryPath, count: int) -> RecordSequences:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    # symbols >= 1 make every prefix sum dominate its length: domination_start
-    # is 1, and the recursion reads the path only up to each window
+    # symbols >= 1 make every prefix sum dominate its length: the domination
+    # start is 1, and the recursion reads the path only up to each window
     start = 1
     horizon = len(path)
     pairs: list[RecordPair] = []

@@ -1,16 +1,19 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from rifs_lab import (
     MauldinDomainError,
+    ProbVector,
     bowen_parameter,
     expected_log_fitness,
     mauldin_dimension,
     minimal_frame,
 )
 from rifs_lab.bowen import log_fitness
-from rifs_lab.rifs import IFSDescriptor, MapAggregate, counterexample_ifs, validate_spec
+from rifs_lab.frame import FrameDepthError
+from rifs_lab.rifs import MapAggregate, RIFSSpec, validate_spec
 
 from conftest import frame_family_doc
 
@@ -21,46 +24,68 @@ BOWEN_GOLDEN = 2.0 / 3.0                                # solve log2 = t*(3/2)*l
 MAULDIN_GOLDEN = math.log2((1.0 + math.sqrt(5.0)) / 2)  # x + x^2 = 1, x = 2^-t
 
 
-def explicit(*pairs) -> IFSDescriptor:
-    return IFSDescriptor(aggregates=tuple(MapAggregate(r, m) for r, m in pairs))
+def explicit(*pairs) -> RIFSSpec:
+    """A spec whose one system is the given (log2 ratio, multiplicity) maps."""
+    return RIFSSpec(ProbVector("finite", (1.0,)),
+                    systems=(tuple(MapAggregate(r, m) for r, m in pairs),))
+
+
+def frame_spec(frame, d: int) -> RIFSSpec:
+    return RIFSSpec(ProbVector("inverse_square"), frame=frame, d=d)
 
 
 class TestLogFitness:
     def test_frame_level_one_t_zero(self, frame5):
-        desc = counterexample_ifs(frame5, 1, 1)
-        assert log_fitness(desc, 0.0) == pytest.approx(LN2, rel=1e-14)
+        assert log_fitness(frame_spec(frame5, 1), 1, 0.0) == pytest.approx(LN2, rel=1e-14)
 
     def test_frame_level_one_t_one(self, frame5):
-        desc = counterexample_ifs(frame5, 1, 1)
-        assert log_fitness(desc, 1.0) == pytest.approx(-LN2, rel=1e-14)
+        assert log_fitness(frame_spec(frame5, 1), 1, 1.0) == pytest.approx(-LN2, rel=1e-14)
 
     def test_two_half_ratio_maps_unity(self):
-        assert log_fitness(explicit((-1.0, 2)), 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert log_fitness(explicit((-1.0, 2)), 1, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_direct_sum_on_aggregates(self):
-        desc = explicit((-1.0, 2), (-2.5, 3), (-0.25, 1))
+        spec = explicit((-1.0, 2), (-2.5, 3), (-0.25, 1))
         for t in (0.0, 0.3, 1.0, 2.7):
             direct = math.log(math.fsum(
-                a.multiplicity * (2.0 ** a.log2_ratio) ** t for a in desc.aggregates
+                a.multiplicity * (2.0 ** a.log2_ratio) ** t for a in spec.systems[0]
             ))
-            assert log_fitness(desc, t) == pytest.approx(direct, rel=1e-13)
+            assert log_fitness(spec, 1, t) == pytest.approx(direct, rel=1e-13)
 
     def test_frame_closed_form_matches_aggregate_view(self, frame5):
         # level 2, d = 1: 2^16 maps of ratio 2^-24
-        desc = counterexample_ifs(frame5, 1, 2)
         for t in (0.0, 0.5, 1.0, 2.0):
             direct = math.log(65536.0 * (2.0 ** -24) ** t)
-            assert log_fitness(desc, t) == pytest.approx(direct, rel=1e-13)
+            assert log_fitness(frame_spec(frame5, 1), 2, t) == pytest.approx(direct, rel=1e-13)
 
     def test_deep_level_saturates_with_correct_sign(self):
-        frame = minimal_frame(2)
-        desc = counterexample_ifs(frame, 1, 60)
-        assert log_fitness(desc, 0.5) == math.inf
-        assert log_fitness(desc, 1.0) == -math.inf
+        spec = frame_spec(minimal_frame(2), 1)
+        assert log_fitness(spec, 60, 0.5) == math.inf
+        assert log_fitness(spec, 60, 1.0) == -math.inf
+
+    def test_saturated_signs_follow_the_axioms(self):
+        # a generated level has V_n = n*sv*U_n exactly, so (d-t)*V_n - t*U_n
+        # has the sign of (d-t)*n*sv - t; float log2 U_n cannot carry the
+        # factor n past level ~33
+        saturated = 0
+        for slack in ((1, 1), (2, 3)):
+            for d in (1, 2, 3):
+                spec = frame_spec(minimal_frame(1, slack=slack), d)
+                for t in (0.0, 0.5 * d, 0.99 * d, float(d)):
+                    for n in range(1, 10 ** 4):
+                        try:
+                            value = log_fitness(spec, n, t)
+                        except FrameDepthError:
+                            break
+                        if math.isinf(value):
+                            saturated += 1
+                            axiom = (d - Fraction(t)) * n * slack[1] - Fraction(t)
+                            assert (value > 0) == (axiom > 0) and axiom != 0, (slack, d, t, n)
+        assert saturated > 10 ** 4
 
     def test_rejects_negative_exponent(self, frame5):
         with pytest.raises(ValueError):
-            log_fitness(counterexample_ifs(frame5, 1, 1), -0.1)
+            log_fitness(frame_spec(frame5, 1), 1, -0.1)
 
 
 class TestExpectedLogFitness:
@@ -90,7 +115,7 @@ class TestExpectedLogFitness:
 
         t, M = 0.75, 5
         direct = math.fsum(
-            zeta_probability(k) * log_fitness(frame_family_spec.descriptor(k), t)
+            zeta_probability(k) * log_fitness(frame_family_spec, k, t)
             for k in range(1, M + 1)
         )
         verdict = expected_log_fitness(frame_family_spec, t, truncation=M)

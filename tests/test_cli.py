@@ -109,6 +109,20 @@ class TestDimensionsCommand:
         code, out = run_json(capsys, "dimensions", str(p))
         assert code != 0 and "error" in out
 
+    @pytest.mark.parametrize("name", list(load_json("dimensions_digests.json")))
+    def test_output_matches_pinned_digest(self, capsys, tmp_path, name):
+        # no charged frame level of these inputs leaves float range, so no
+        # saturated log-fitness sign enters their bytes
+        pinned = load_json("dimensions_digests.json")[name]
+        config = ROOT / pinned["config"] if "config" in pinned else tmp_path / "c.json"
+        if "doc" in pinned:
+            config.write_text(json.dumps(pinned["doc"]))
+        code, out = run(capsys, "dimensions", str(config), *pinned["argv"])
+        data = out.encode()
+        assert code == (2 if "--truncation" in pinned["argv"] else 0)
+        assert len(data) == pinned["bytes"]
+        assert hashlib.sha256(data).hexdigest() == pinned["sha256"]
+
 
 class TestCounterexampleCommand:
     def test_summary_demonstrates_gap(self, capsys, frame_family_path, tmp_path):
@@ -384,6 +398,15 @@ class TestSampleCommand:
         data = path.read_bytes()
         assert len(data) == pinned[law]["bytes"]
         assert hashlib.sha256(data).hexdigest() == pinned[law]["sha256"]
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_out_report(self, capsys, tmp_path, seed):
+        path = tmp_path / "scenery.csv"
+        code, doc = run_json(capsys, "sample", "--seed", str(seed), "--horizon", "1000",
+                             "--out", str(path))
+        assert code == 0
+        assert doc == {"schema": "rifs-lab/1", "written": str(path), "seed": seed,
+                       "horizon": 1000, "domination_start": 1}
 
     def test_config_probabilities(self, capsys, two_ifs_path):
         code, out = run(capsys, "sample", two_ifs_path, "--seed", "5",

@@ -24,7 +24,7 @@ LN2 = math.log(2.0)
 
 
 def path_of(*symbols) -> SceneryPath:
-    return SceneryPath(np.asarray(symbols, dtype=np.int64), seed=0)
+    return SceneryPath(np.asarray(symbols, dtype=np.int64))
 
 
 class TestBranchProfile:

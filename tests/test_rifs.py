@@ -12,16 +12,18 @@ from rifs_lab import (
     sample_scenery,
     scenery_csv,
 )
+from rifs_lab.bowen import log_fitness
+from rifs_lab.frame import FrameDepthError
 from rifs_lab.rifs import (
     INVERSE_SQUARE_C,
     INVERSE_SQUARE_CDF,
-    counterexample_ifs,
+    _count_label,
     validate_spec,
     zeta_probability,
     zeta_tail,
 )
 
-from conftest import DATA, two_ifs_doc
+from conftest import DATA, frame_family_doc, two_ifs_doc
 
 
 class TestZetaProbability:
@@ -88,32 +90,33 @@ class TestProbVector:
 
 
 class TestCounterexampleIFS:
-    def test_level_one_d_one(self, frame5):
-        desc = counterexample_ifs(frame5, 1, 1)
-        assert desc.map_count().as_int() == 2
-        assert desc.u.as_int() + desc.v.as_int() == 2  # ratio 2^-(U+V)
+    """Level i of a frame family on [0,1]^d: 2^(d*V_i) maps of ratio 2^-(U_i+V_i)."""
 
-    def test_level_two_d_one(self, frame5):
-        desc = counterexample_ifs(frame5, 1, 2)
-        assert desc.map_count().as_int() == 65536
-        assert desc.u.as_int() + desc.v.as_int() == 24
+    def test_level_one_d_one(self, frame_family_spec):
+        assert _count_label(frame_family_spec, 1) == "2"
+        level = frame_family_spec.frame.entry(1)
+        assert level.u.as_int() + level.v.as_int() == 2  # ratio 2^-(U+V)
 
-    def test_level_one_d_two(self, frame5):
-        desc = counterexample_ifs(frame5, 2, 1)
-        assert desc.map_count().as_int() == 4
+    def test_level_two_d_one(self, frame_family_spec):
+        assert _count_label(frame_family_spec, 2) == "65536"
+        level = frame_family_spec.frame.entry(2)
+        assert level.u.as_int() + level.v.as_int() == 24
 
-    def test_bad_indices(self, frame5):
+    def test_level_one_d_two(self):
+        assert _count_label(validate_spec(frame_family_doc(d=2)), 1) == "4"
+
+    def test_bad_indices(self, frame_family_spec):
         with pytest.raises(SpecValidationError):
-            counterexample_ifs(frame5, 0, 1)
-        with pytest.raises(SpecValidationError):
-            counterexample_ifs(frame5, 1, 0)
+            validate_spec(frame_family_doc(d=0))
+        with pytest.raises(FrameDepthError):
+            log_fitness(frame_family_spec, 0, 0.5)
 
 
 class TestValidateSpec:
     def test_golden_two_ifs(self, two_ifs_spec):
-        assert len(two_ifs_spec.ifs) == 2
+        assert len(two_ifs_spec.systems) == 2
         assert 0.0 < two_ifs_spec.eta < 1.0
-        assert 2.0 ** two_ifs_spec.ifs[0].max_log2_ratio() < two_ifs_spec.eta
+        assert 2.0 ** two_ifs_spec.systems[0][0].log2_ratio < two_ifs_spec.eta
 
     def test_probability_sum_error(self):
         doc = two_ifs_doc()
@@ -163,7 +166,7 @@ class TestValidateSpec:
     def test_frame_family(self, frame_family_spec):
         assert frame_family_spec.is_frame_family
         assert frame_family_spec.d == 1
-        assert frame_family_spec.descriptor(2).map_count().as_int() == 65536
+        assert _count_label(frame_family_spec, 2) == "65536"
 
 
 class TestSerializationRoundTrip:
@@ -214,3 +217,19 @@ class TestHypothesisCheck:
         report = check_bowen_hypothesis(validate_spec(doc))
         assert not report.holds
         assert report.reasons[0].startswith("map counts differ between levels 1 and 3")
+
+    @pytest.mark.parametrize("probabilities, frame, d, reason", [
+        ({"kind": "inverse_square"}, {"rule": "minimal", "levels": 1}, 1,
+         "levels 1 and 2 (2 vs 65536)"),
+        ({"kind": "finite", "values": [0.5, 0.0, 0.5]},
+         [["1", "1"], ["8", "16"], ["13824", "41472"]], 2, "levels 1 and 3 (4 vs 2^82944)"),
+        ({"kind": "finite", "values": [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]},
+         {"rule": "minimal", "levels": 1}, 1, "levels 1 and 7 (2 vs 2^(d*V_7))"),
+    ], ids=["decimal", "power-of-two", "past-float-range"])
+    def test_count_labels(self, probabilities, frame, d, reason):
+        # one label per form: a decimal below 2^64, 2^x, and 2^(d*V_i) once
+        # d*V_i leaves float range
+        doc = {"probabilities": probabilities,
+               "family": {"kind": "frame", "frame": frame, "d": d}}
+        report = check_bowen_hypothesis(validate_spec(doc))
+        assert report.reasons[0] == "map counts differ between " + reason

@@ -8,7 +8,6 @@ import pytest
 from rifs_lab import (
     ProbVector,
     RareTailError,
-    domination_start,
     load_spec,
     pressure,
     sample_scenery,
@@ -127,7 +126,7 @@ class TestLazyInversion:
             seqs = record_sequences(lazy, 3)
             last = max((p.position for p in seqs.pairs), default=1)
             head = lazy.head(last)
-            full = SceneryPath(sample_scenery(inverse_square, 100_000, seed=seed).symbols, seed)
+            full = SceneryPath(sample_scenery(inverse_square, 100_000, seed=seed).symbols)
             assert record_sequences(full, 3) == seqs
             assert (full.head(last) == head).all()
             checked += 1
@@ -336,42 +335,38 @@ class TestCdfTable:
 
 
 class TestDominationStart:
-    def test_always_one_for_positive_symbols(self, inverse_square):
-        for seed in range(20):
-            path = sample_scenery(inverse_square, 1000, seed=seed)
-            assert domination_start(path) == 1
+    """Prefix sums of symbols >= 1 dominate their length from n = 1, the
+    start that :func:`record_sequences` takes."""
 
     def test_prefix_sum_oracle(self, inverse_square):
         path = sample_scenery(inverse_square, 2000, seed=123)
         sums = np.cumsum(path.symbols)
-        n = domination_start(path)
-        assert all(sums[k] >= k + 1 for k in range(n - 1, len(sums)))
+        assert all(sums[k] >= k + 1 for k in range(len(sums)))
 
     def test_rejects_symbols_below_one(self):
         with pytest.raises(ValueError, match=">= 1"):
-            SceneryPath(np.asarray([2, 0, 1], dtype=np.int64), seed=0)
+            SceneryPath(np.asarray([2, 0, 1], dtype=np.int64))
 
     def test_all_ones_boundary(self):
-        path = SceneryPath(np.ones(64, dtype=np.int64), seed=0)
-        assert domination_start(path) == 1
+        path = SceneryPath(np.ones(64, dtype=np.int64))
         assert (path.prefix_sums == np.arange(1, 65)).all()
 
 
 class TestRecordSequences:
     def test_hand_trace(self):
-        path = SceneryPath(np.asarray([3, 1, 2, 5, 1, 1, 1], dtype=np.int64), seed=0)
+        path = SceneryPath(np.asarray([3, 1, 2, 5, 1, 1, 1], dtype=np.int64))
         seqs = record_sequences(path, 2)
         assert [(p.window, p.position) for p in seqs.pairs] == [(1, 1), (4, 4)]
         assert not seqs.degenerate and not seqs.truncated
 
     def test_low_entropy_path_flags_degenerate(self):
-        path = SceneryPath(np.ones(32, dtype=np.int64), seed=0)
+        path = SceneryPath(np.ones(32, dtype=np.int64))
         seqs = record_sequences(path, 3)
         assert [(p.window, p.position) for p in seqs.pairs] == [(1, 1)]
         assert seqs.degenerate
 
     def test_window_past_horizon_flags_truncated(self):
-        path = SceneryPath(np.asarray([5, 1, 1], dtype=np.int64), seed=0)
+        path = SceneryPath(np.asarray([5, 1, 1], dtype=np.int64))
         seqs = record_sequences(path, 2)
         assert seqs.truncated
         assert len(seqs.pairs) == 1
