@@ -163,8 +163,8 @@ def _rows_to_csv(run: pressure.SeedRun) -> str:
     for st, t, chk in run.checks:
         j, m = (str(x.as_int()) if x.is_exact else repr(x.log2) for x in (st.j_before, st.m))
         lines.append(f"{st.n},{st.record_pos},{st.record_symbol},{j},{m},"
-                     f"{'dec' if st.m.is_exact else 'log2'},{t!r},{chk.exponent!r},"
-                     f"{chk.lhs!r},{chk.rhs!r},{'true' if chk.holds else 'false'},{chk.ratio!r}")
+                     f"{'dec' if st.m.is_exact else 'log2'},{t!r},{st.exponent!r},"
+                     f"{chk.lhs!r},{chk.rhs!r},{'true' if chk.holds else 'false'},{st.ratio!r}")
     return "\n".join(lines) + "\n"
 
 

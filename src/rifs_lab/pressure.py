@@ -67,22 +67,6 @@ class BranchProfile:
     def run_count(self) -> int:
         return len(self.runs)
 
-    def j_of_run(self, i: int) -> HybridNumber:
-        """Cumulative schedule length after run i; j(0) = 0."""
-        if i == 0:
-            return ZERO
-        if not 1 <= i <= len(self.runs):
-            raise CoverageError(f"profile has {len(self.runs)} runs, run {i} requested")
-        return self.runs[i - 1].j_end
-
-    def branch_upto_run(self, i: int) -> HybridNumber:
-        """Branching steps among the first i runs."""
-        if i == 0:
-            return ZERO
-        if not 1 <= i <= len(self.runs):
-            raise CoverageError(f"profile has {len(self.runs)} runs, run {i} requested")
-        return self.runs[i - 1].branch_end
-
     def branch_count_at(self, m: HybridNumber | int) -> HybridNumber:
         """B_m: branching steps among the first m refined steps.
 
@@ -140,8 +124,9 @@ def build_branch_profile(symbols: Iterable[int], frame: Frame, d: int) -> Branch
 def refined_log_sum(profile: BranchProfile, m: HybridNumber | int, t: float) -> float:
     """Natural log of the step-m partition sum: (d*B_m - t*m) * ln 2.
 
-    Exact in float terms while the quantities fit; for astronomically large
-    m the value saturates to +-inf with the sign settled in log2 space.
+    Defined while m fits a float.  Past that, the sign of d*B_m - t*m
+    can hinge on quantities of one magnitude, which float log2 values cannot
+    settle, so such an m raises :class:`ValueError`.
     """
     if t < 0:
         raise ValueError("the exponent t must be >= 0")
@@ -149,23 +134,23 @@ def refined_log_sum(profile: BranchProfile, m: HybridNumber | int, t: float) -> 
         m = HybridNumber.from_int(m)
     if m.is_zero:
         raise CoverageError("partition sums start at step 1")
-    bm = profile.branch_count_at(m)
-    d = profile.d
-    if m.log2 <= 980 and (bm.is_zero or bm.log2 <= 980):
-        return (d * bm.to_float() - t * m.to_float()) * _LN2
-    pos = -math.inf if bm.is_zero else math.log2(d) + bm.log2
-    neg = -math.inf if t == 0.0 else math.log2(t) + m.log2
-    return math.inf if pos >= neg else -math.inf
+    bm = profile.branch_count_at(m)  # B_m <= m, so B_m fits when m does
+    if m.log2 > 980:
+        raise ValueError(f"step m = 2^{m.log2!r} lies past float range")
+    return (profile.d * bm.to_float() - t * m.to_float()) * _LN2
 
 
 def coarse_log_sum(profile: BranchProfile, n_runs: int, t: float) -> float:
     """Aggregate n-symbol partition sum: sum over runs of per-level fitness.
 
     Equals :func:`refined_log_sum` at m = j_n; kept separate as a cross-check
-    between the aggregate and unrolled views of the same system.
+    between the aggregate and unrolled views of the same system, and like
+    it raises :class:`ValueError` once j_n leaves float range.
     """
     if not 0 <= n_runs <= profile.run_count:
         raise CoverageError(f"profile has {profile.run_count} runs")
+    if n_runs and profile.runs[n_runs - 1].j_end.log2 > 980:
+        raise ValueError(f"run {n_runs} ends past float range")
     total = 0.0
     for run in profile.runs[:n_runs]:
         u = run.flat_len.to_float()
@@ -176,13 +161,28 @@ def coarse_log_sum(profile: BranchProfile, n_runs: int, t: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpecialTime:
-    """The refined step at the end of a record symbol's single-map run."""
+    """The refined step at the end of a record symbol's single-map run.
+
+    The record's own run adds only single-map steps up to m, so B_m is the
+    branching total of the runs before the record.  ``ratio`` blowing up is
+    what crushes ``exponent``.
+    """
 
     n: int                  # index into the record sequence, 1-based
     record_pos: int         # b_n
     record_symbol: int      # scenery value at b_n
     j_before: HybridNumber  # schedule length before the record's run
     m: HybridNumber         # j_before + U at the record's level
+    exponent: float         # d*B_m/m
+    ratio: float            # U_record/j_before; inf at the first record
+    budget: float           # j_before/m
+
+
+def _log2_quotient(num: HybridNumber, den: HybridNumber) -> float:
+    """num/den as a float via log2 space; 0.0 for a zero numerator."""
+    if num.is_zero:
+        return 0.0
+    return 2.0 ** (num.log2 - den.log2)
 
 
 def special_times(profile: BranchProfile, seqs: RecordSequences) -> tuple[SpecialTime, ...]:
@@ -195,17 +195,15 @@ def special_times(profile: BranchProfile, seqs: RecordSequences) -> tuple[Specia
         b = pair.position
         if b > profile.run_count:
             raise CoverageError(f"profile has {profile.run_count} runs, record at {b}")
-        j_before = profile.j_of_run(b - 1)
         run = profile.runs[b - 1]
-        times.append(
-            SpecialTime(
-                n=n,
-                record_pos=b,
-                record_symbol=run.symbol,
-                j_before=j_before,
-                m=j_before.add(run.flat_len),
-            )
-        )
+        j_before = run.j_start
+        m = j_before.add(run.flat_len)
+        ratio = (math.inf if j_before.is_zero
+                 else exp2_saturating(run.flat_len.log2 - j_before.log2))
+        times.append(SpecialTime(
+            n=n, record_pos=b, record_symbol=run.symbol, j_before=j_before, m=m,
+            exponent=profile.d * _log2_quotient(run.branch_start, m),
+            ratio=ratio, budget=_log2_quotient(j_before, m)))
     return tuple(times)
 
 
@@ -214,50 +212,21 @@ class BoundCheck:
     """Per-time comparison of the normalized log sum against its budget.
 
     ``lhs`` is (1/m) log of the step-m partition sum and ``rhs`` is
-    -t*log2 + j_before*log2/m.  ``ratio`` is U_record/j_before (inf at the
-    first record, whose prefix is empty); it blowing up is what crushes the
-    exponent.
+    -t*log2 + j_before*log2/m.
     """
 
     lhs: float
     rhs: float
     holds: bool
-    ratio: float
-    exponent: float  # d*B_m/m at this time
 
 
-def _log2_quotient(num: HybridNumber, den: HybridNumber) -> float:
-    """num/den as a float via log2 space; 0.0 for a zero numerator."""
-    if num.is_zero:
-        return 0.0
-    return 2.0 ** (num.log2 - den.log2)
-
-
-def time_exponent(profile: BranchProfile, st: SpecialTime) -> float:
-    """d*B_m/m at a special time.
-
-    B_m here is the branching total of the runs before the record: the
-    record's own run contributes only single-map steps up to m.
-    """
-    bm = profile.branch_upto_run(st.record_pos - 1)
-    if bm.is_zero:
-        return 0.0
-    return profile.d * _log2_quotient(bm, st.m)
-
-
-def subsequence_bound_check(profile: BranchProfile, st: SpecialTime, t: float) -> BoundCheck:
+def subsequence_bound_check(st: SpecialTime, t: float) -> BoundCheck:
     """Check (1/m) log sum <= -t log2 + j_before log2 / m at one special time."""
     if t < 0:
         raise ValueError("the exponent t must be >= 0")
-    e = time_exponent(profile, st)
-    lhs = (e - t) * _LN2
-    rhs = (-t + _log2_quotient(st.j_before, st.m)) * _LN2
-    run = profile.runs[st.record_pos - 1]
-    if st.j_before.is_zero:
-        ratio = math.inf
-    else:
-        ratio = exp2_saturating(run.flat_len.log2 - st.j_before.log2)
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + BOUND_TOL, ratio=ratio, exponent=e)
+    lhs = (st.exponent - t) * _LN2
+    rhs = (-t + st.budget) * _LN2
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + BOUND_TOL)
 
 
 def ratio_floor_holds(profile: BranchProfile, st: SpecialTime, frame: Frame) -> bool:
@@ -275,7 +244,7 @@ def ratio_floor_holds(profile: BranchProfile, st: SpecialTime, frame: Frame) -> 
     return u_rec.scale(2) >= st.j_before.mul(v_prev)
 
 
-def dim_upper_estimate(profile: BranchProfile, times: Sequence[SpecialTime]) -> float:
+def dim_upper_estimate(times: Sequence[SpecialTime]) -> float:
     """Subsequence upper-bound estimate: min over special times of d*B_m/m.
 
     At each time m the normalized log sum (d*B_m/m - t) log 2 crosses zero
@@ -283,7 +252,7 @@ def dim_upper_estimate(profile: BranchProfile, times: Sequence[SpecialTime]) -> 
     This is a finite-horizon proxy, exact along the special-time
     subsequence; it is an upper-bound witness, not a liminf.
     """
-    return min(time_exponent(profile, st) for st in times)
+    return min(st.exponent for st in times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,6 +281,5 @@ def run_seed(spec: RIFSSpec, seed: int, horizon: int, pairs: int,
     prefix_len = max((p.position for p in seqs.pairs), default=1)
     profile = build_branch_profile(path.head(prefix_len), spec.frame, spec.d)
     times = special_times(profile, seqs)
-    checks = tuple((st, t, subsequence_bound_check(profile, st, t))
-                   for st in times for t in t_grid)
-    return SeedRun(seqs, profile, times, checks, dim_upper_estimate(profile, times))
+    checks = tuple((st, t, subsequence_bound_check(st, t)) for st in times for t in t_grid)
+    return SeedRun(seqs, profile, times, checks, dim_upper_estimate(times))

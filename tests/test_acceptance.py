@@ -29,7 +29,6 @@ from rifs_lab.pressure import (
     ratio_floor_holds,
     refined_log_sum,
     run_seed,
-    time_exponent,
 )
 from rifs_lab.rifs import validate_spec, zeta_probability
 from rifs_lab.sampler import record_sequences
@@ -144,7 +143,7 @@ def test_criterion_6_dimension_gap_at_desk_scale():
         run = run_seed(spec, seed, pinned["horizon"], pinned["pairs"], ())
         estimates[seed] = {
             "estimate": run.estimate,
-            "exponents": [time_exponent(run.profile, st) for st in run.times],
+            "exponents": [st.exponent for st in run.times],
         }
 
     below = sum(1 for v in estimates.values() if v["estimate"] < 0.2)

@@ -7,6 +7,7 @@ benchmark run.  This test reads perfbench/ and changes nothing in it.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from rifs_lab import pressure, sampler
@@ -35,13 +36,20 @@ def test_tracer_wraps_every_layer_and_reads_seeds(capsys):
                      "--seeds", "600:3", "--horizon", "2000"])
     finally:
         tracer.uninstall()
-    capsys.readouterr()
+    completed = [r for r in json.loads(capsys.readouterr().out)["per_seed"] if "error" not in r]
     assert code == 0
     assert (sampler.sample_scenery, pressure.special_times, lib["cli"]._emit) == originals
     # the tracer keys each seed's span by the third positional argument of
     # sample_scenery
     assert [key for name, key, *_ in tracer.spans if name == "seed"] == [600, 601, 602]
     assert tracer.counts["pressure.special_times.calls"] == 3
+    # one bound check per special time and value of the default --t-grid
+    # (three), and one estimate per completed seed
+    times = sum(r["pairs"] for r in completed)
+    assert times >= 3
+    assert tracer.counts["pressure.subsequence_bound_check.calls"] == 3 * times
+    estimates = [s for s in tracer.spans if s[0] == "pressure.dim_upper_estimate"]
+    assert len(estimates) == len(completed) == 3
 
 
 def test_tracer_reads_cover_layers(capsys, tmp_path):

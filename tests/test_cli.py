@@ -149,6 +149,17 @@ class TestCounterexampleCommand:
             ))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("name", list(load_json("counterexample_digests.json")["runs"]))
+    def test_outputs_match_pinned_digests(self, capsys, tmp_path, name):
+        pinned = load_json("counterexample_digests.json")
+        want = pinned["runs"][name]
+        code, _ = run(capsys, "counterexample", str(ROOT / want["config"]),
+                      "--seeds", want["seeds"], *pinned["argv"], "--out", str(tmp_path))
+        assert code == want["exit"]
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+        assert got == want["files"]
+
     def test_csv_columns(self, capsys, frame_family_path, tmp_path):
         out_dir = tmp_path / "cols"
         run(capsys, "counterexample", frame_family_path,

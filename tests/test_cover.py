@@ -216,7 +216,7 @@ class TestBoxExponents:
         frame = minimal_frame(2)
         profile = build_branch_profile((12,), frame, 1)
         assert not profile.runs[0].flat_len.is_exact
-        m = profile.j_of_run(1)
+        m = profile.runs[0].j_end
         [(_, e)] = box_exponents(profile, [m])
         assert e == pytest.approx(12.0 / 13.0, rel=1e-9)  # V/(U+V) at level 12
 
@@ -225,7 +225,7 @@ class TestBoxExponents:
         # keeps the reported exponent inside [0, d]
         frame = minimal_frame(2)
         profile = build_branch_profile((30,), frame, 1)
-        m = profile.j_of_run(1)
+        m = profile.runs[0].j_end
         [(_, e)] = box_exponents(profile, [m])
         assert 0.9 <= e <= 1.0
 

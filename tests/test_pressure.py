@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rifs_lab import Frame, HybridNumber, build_branch_profile
+from rifs_lab import Frame, HybridNumber, build_branch_profile, minimal_frame
 from rifs_lab.pressure import (
     CoverageError,
     coarse_log_sum,
@@ -13,7 +13,6 @@ from rifs_lab.pressure import (
     run_seed,
     special_times,
     subsequence_bound_check,
-    time_exponent,
 )
 from rifs_lab.sampler import RecordPair, RecordSequences, SceneryPath, record_sequences
 from rifs_lab.cover import step_flags
@@ -32,14 +31,14 @@ class TestBranchProfile:
         profile = build_branch_profile((1, 1), frame5, 1)
         assert [(r.symbol, r.flat_len.as_int(), r.branch_len.as_int())
                 for r in profile.runs] == [(1, 1, 1), (1, 1, 1)]
-        assert profile.j_of_run(1).as_int() == 2
-        assert profile.j_of_run(2).as_int() == 4
+        assert profile.runs[0].j_end.as_int() == 2
+        assert profile.runs[1].j_end.as_int() == 4
 
     def test_level_two_run(self, frame5):
         profile = build_branch_profile((2, 1), frame5, 1)
         assert profile.runs[0].flat_len.as_int() == 8
         assert profile.runs[0].branch_len.as_int() == 16
-        assert profile.j_of_run(1).as_int() == 24
+        assert profile.runs[0].j_end.as_int() == 24
 
     def test_branch_count_queries(self, frame5):
         profile = build_branch_profile((1, 1), frame5, 1)
@@ -63,8 +62,6 @@ class TestBranchProfile:
         profile = build_branch_profile((1,), frame5, 1)
         with pytest.raises(CoverageError):
             profile.branch_count_at(3)
-        with pytest.raises(CoverageError):
-            profile.j_of_run(2)
 
     def test_depth_error_names_symbol(self):
         explicit = Frame.explicit([(1, 1), (8, 16)])
@@ -114,11 +111,27 @@ class TestRefinedLogSum:
         # at m = j_n the refined sum equals the aggregate per-run total
         profile = build_branch_profile((1, 2, 3), frame5, 1)
         for n in (1, 2, 3):
-            m = profile.j_of_run(n).as_int()
+            m = profile.runs[n - 1].j_end.as_int()
             for t in (0.0, 0.5, 1.0):
                 assert refined_log_sum(profile, m, t) == pytest.approx(
                     coarse_log_sum(profile, n, t), rel=1e-12, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("n", [32, 35, 100, 119])
+    def test_refuses_a_step_past_float_range(self, n):
+        # at the end of the level-n branching run the true sign of
+        # (1-t)*V_n - t*U_n + (1 - 2t) is not what float log2 values give
+        profile = build_branch_profile([1, n], minimal_frame(1), 1)
+        with pytest.raises(ValueError, match="float range"):
+            refined_log_sum(profile, profile.runs[1].j_end, 0.99)
+
+    @pytest.mark.parametrize("symbols", [[1, 7, 1], [1, 40]])
+    @pytest.mark.parametrize("t", [0.5, 0.99])
+    def test_coarse_refuses_a_run_past_float_range(self, symbols, t):
+        # the run lengths are inf as floats, so their sum would be inf - inf
+        profile = build_branch_profile(symbols, minimal_frame(1), 1)
+        with pytest.raises(ValueError, match="float range"):
+            coarse_log_sum(profile, 2, t)
 
 
 class TestSpecialTimes:
@@ -169,9 +182,9 @@ class TestSubsequenceBound:
         seqs = record_sequences(path, 1)
         st = special_times(profile, seqs)[0]
         for t in (0.0, 0.5, 1.0):
-            chk = subsequence_bound_check(profile, st, t)
+            chk = subsequence_bound_check(st, t)
             assert chk.lhs == chk.rhs == pytest.approx(-t * LN2, abs=1e-15)
-            assert chk.holds and chk.ratio == math.inf
+            assert chk.holds and st.ratio == math.inf
 
     def test_holds_across_seeds_and_exponents(self, frame_family_spec):
         # quantified property: 100 seeds x all special times x 3 exponents
@@ -186,7 +199,7 @@ class TestSubsequenceBound:
         for seed in range(40):
             run = run_seed(frame_family_spec, seed, 5000, 2, ())
             for st in run.times:
-                bm = run.profile.branch_upto_run(st.record_pos - 1)
+                bm = run.profile.runs[st.record_pos - 1].branch_start
                 assert bm <= st.j_before or st.j_before.is_zero
 
     def test_ratio_floor_holds_exactly(self, frame_family_spec):
@@ -213,8 +226,8 @@ class TestSubsequenceBound:
         d2 = build_branch_profile(symbols, frame5, 2)
         st1 = special_times(d1, seqs)[0]
         st2 = special_times(d2, seqs)[0]
-        assert subsequence_bound_check(d1, st1, 0.5).holds
-        assert not subsequence_bound_check(d2, st2, 0.5).holds
+        assert subsequence_bound_check(st1, 0.5).holds
+        assert not subsequence_bound_check(st2, 0.5).holds
 
     def test_zero_exponent_bound_via_branch_ratio(self, frame_family_spec):
         # (1/m) log-sum at t=0, normalized by d log 2, is at most 2/V_{record-1}
@@ -223,7 +236,7 @@ class TestSubsequenceBound:
             for st in run.times:
                 if st.n < 2:
                     continue
-                e = time_exponent(run.profile, st) / run.profile.d
+                e = st.exponent / run.profile.d
                 v_prev = frame_family_spec.frame.entry(st.record_symbol - 1).v
                 assert e <= 2.0 * 2.0 ** -v_prev.log2 + 1e-15
 
@@ -233,7 +246,7 @@ class TestDimUpperEstimate:
         path = path_of(4, 1, 1)
         profile = build_branch_profile(path.symbols, frame5, 1)
         seqs = record_sequences(path, 1)
-        assert dim_upper_estimate(profile, special_times(profile, seqs)) == 0.0
+        assert dim_upper_estimate(special_times(profile, seqs)) == 0.0
 
     def test_synthetic_late_first_record(self, frame5):
         # record at position 3 with symbol 3 after a (1, 2) prefix:
@@ -244,7 +257,7 @@ class TestDimUpperEstimate:
             degenerate=False, truncated=False,
         )
         profile = build_branch_profile(symbols, frame5, 1)
-        est = dim_upper_estimate(profile, special_times(profile, seqs))
+        est = dim_upper_estimate(special_times(profile, seqs))
         assert 0.0 < est <= 26.0 / (26.0 + 13824.0)
         assert est == pytest.approx(17.0 / (26.0 + 13824.0), rel=1e-12)
 
@@ -255,4 +268,4 @@ class TestDimUpperEstimate:
     def test_inconclusive_without_times(self, frame5):
         profile = build_branch_profile((1,), frame5, 1)
         with pytest.raises(ValueError):
-            dim_upper_estimate(profile, ())
+            dim_upper_estimate(())
