@@ -47,20 +47,19 @@ def _emit(doc: dict, out: Path | None = None) -> None:
         fh.write("\n")
 
 
-#: Most characters handed to one ``sys.stdout.write``.  An unbuffered stdout
-#: (``PYTHONUNBUFFERED``) passes each write to one raw ``write`` and ignores
-#: a short count, so a reader that has gone must meet a later slice, which
-#: raises ``BrokenPipeError``.
-_STDOUT_SLICE = 1 << 16
+#: Most characters handed to one ``write``.  An unbuffered stdout passes each
+#: write to one raw ``write`` and ignores a short count, so a reader that has
+#: gone must meet a later slice, which raises ``BrokenPipeError``; a text-mode
+#: file encodes each write whole, so no full-size bytes copy of the text is made.
+_WRITE_SLICE = 1 << 16
 
 
 def _write_text(text: str, out: Path | None, **fields) -> None:
-    """Write CSV text to stdout, or to ``out`` and report it with ``fields``."""
-    if out is None:
-        for i in range(0, len(text), _STDOUT_SLICE):
-            sys.stdout.write(text[i:i + _STDOUT_SLICE])
-    else:
-        out.write_text(text)
+    """Write CSV text in slices to stdout, or to ``out`` and report it with ``fields``."""
+    with _open_out(out) as fh:
+        for i in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[i:i + _WRITE_SLICE])
+    if out is not None:
         _emit({"written": str(out), **fields})
 
 
@@ -252,14 +251,14 @@ def _profile_from_args(args: argparse.Namespace):
 def cmd_cover(args: argparse.Namespace) -> int:
     """``cover exponents``, ``enum`` or ``points`` on one symbol prefix.
 
-    ``points`` checks d and the depth before it enumerates.  ``enum`` takes
-    every byte from ``json.dumps(indent=2, sort_keys=True)``: the document
-    is encoded once with a single probe cube whose corner entries are
-    ``%d`` placeholders, and split into a head, that cube's template and a
-    tail.  The cubes are then written :data:`cover.BLOCK` rows at a time,
-    each block by one ``%`` over the template repeated (``%d`` prints a
-    Python int as ``json`` does), so no per-word object is built and the
-    document is never held whole in memory.
+    ``points`` checks d and the depth before it enumerates, and writes the
+    CSV text in slices.  ``enum`` takes every byte from ``json.dumps(indent=2,
+    sort_keys=True)`` of the document with one probe cube whose corners are
+    ``%d`` placeholders, split into a head, that cube's template and a tail;
+    the cubes are then written :data:`cover.BLOCK` rows at a time, each block
+    by one ``%`` over the template repeated (``%d`` prints a Python int as
+    ``json`` does), so no per-word object is built and the document is never
+    held whole in memory.
     """
     profile = _profile_from_args(args)
     if args.cover_cmd == "exponents":

@@ -184,26 +184,25 @@ def emit_points(corners: np.ndarray, level: int) -> str:
     """CSV of cube corners and side lengths for external plotting (d <= 3).
 
     A coordinate is ``repr`` of the corner numerator over 2^level, divided
-    once (true division rounds once, also for numerators past the float
-    range).  Division and ``repr`` run once per distinct value of a column,
-    and the rows are joined from those cells :data:`BLOCK` at a time.  In a
-    cover of N = 2^(d*B_m) words a column holds at most 2^B_m = N^(1/d)
-    distinct numerators, so ``repr`` runs at most d*N^(1/d) times, not d*N.
-    The CSV is still returned whole, as one ``str``: the CLI writes it in
-    one call, and the benchmark's per-layer tracer (``cover.points_bytes``)
-    reads its length.
+    once (true division rounds once, also past the float range).  Division
+    and ``repr`` run once per distinct value of a column, at most
+    2^B_m = N^(1/d) of them in a cover of N = 2^(d*B_m) words, so d*N^(1/d)
+    times, not d*N; each block of :data:`BLOCK` rows finds its cells by
+    binary search among them, so no per-row index is held.  Blocks are
+    appended with ``text +=``, which CPython grows in place (once the loop
+    is specialized) while nothing else refers to ``text``: never alias it.
+    The CLI writes the ``str`` in slices and the tracer reads its length.
     """
     n, d = corners.shape
     PointExportError.check(d, level)
     ends = [","] * (d - 1) + [f",{2.0 ** -level!r}\n"]
-    columns = []
-    for l in range(d):
-        values, index = np.unique(corners[:, l], return_inverse=True)
-        coords = (values / (1 << level)).tolist()
-        cells = np.array([repr(x) + ends[l] for x in coords], dtype=object)
-        columns.append((cells, index))
-    parts = [",".join(["x", "y", "z"][:d]) + ",side\n"]
+    distinct = [np.unique(corners[:, l]) for l in range(d)]
+    cells = [np.array([repr(x) + end for x in (values / (1 << level)).tolist()], dtype=object)
+             for values, end in zip(distinct, ends)]
+    text = ",".join(["x", "y", "z"][:d]) + ",side\n"
     for i in range(0, n, BLOCK):
-        rows = np.stack([cells[index[i:i + BLOCK]] for cells, index in columns], axis=1)
-        parts.append("".join(rows.ravel().tolist()))
-    return "".join(parts)
+        block = corners[i:i + BLOCK]
+        rows = np.stack([cells[l][np.searchsorted(distinct[l], block[:, l])]
+                         for l in range(d)], axis=1)
+        text += "".join(rows.ravel().tolist())
+    return text

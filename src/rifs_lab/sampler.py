@@ -256,27 +256,28 @@ def record_sequences(path: SceneryPath, count: int) -> RecordSequences:
 def scenery_csv(path: SceneryPath) -> str:
     """CSV with one row per prefix: n, symbol, prefix_sum, prefix_mean.
 
-    Rows are formatted :data:`_CSV_BLOCK` at a time, each block by one
-    ``%`` over the row template repeated, from cells interleaved out of
-    ``tolist()`` columns.  The bytes are those of a per-row f-string:
-    ``%d`` prints a Python int as ``str`` does, ``%r`` is ``repr``, and the
-    int64 / int64 quotient is the single IEEE division ``float(ps) / n``
-    makes, after the same int64 to float64 cast (exact below 2^53, far
-    above the sums of any sampled scenery that fits in memory).  The means
-    are divided per block rather than read from
-    :attr:`SceneryPath.prefix_means`, which would hold one more float per
-    row.  One ``str`` is returned, which the CLI writes whole and whose
-    length the tracer reports.
+    Rows are formatted :data:`_CSV_BLOCK` at a time by one ``%`` over the
+    row template repeated, from cells interleaved out of ``tolist()``
+    columns; the bytes are a per-row f-string's (``%d`` prints an int as
+    ``str`` does, ``%r`` is ``repr``, and the int64 / int64 quotient is the
+    one IEEE division ``float(ps) / n`` makes, exact cast below 2^53).  Each
+    block carries its prefix sums on from the last one's int64 total (exact,
+    so equal to :attr:`SceneryPath.prefix_sums`, which stays unread) and
+    divides its own means, so only the symbols are held whole.  Blocks are
+    appended with ``text +=``, which CPython grows in place (once the loop
+    is specialized) while nothing else refers to ``text``: never alias it.
+    The CLI writes the ``str`` in slices and the tracer reads its length.
     """
-    symbols, sums = path.symbols, path.prefix_sums
-    parts = ["n,omega_n,prefix_sum,prefix_mean\n"]
+    symbols, sums = path.symbols, [0]  # sums[-1] is the running total
+    text = "n,omega_n,prefix_sum,prefix_mean\n"
     for lo in range(0, len(path), _CSV_BLOCK):
         hi = min(lo + _CSV_BLOCK, len(path))
         n = np.arange(lo + 1, hi + 1)
+        sums = np.cumsum(symbols[lo:hi]) + sums[-1]
         cells = [None] * (4 * (hi - lo))
         cells[0::4] = n.tolist()
         cells[1::4] = symbols[lo:hi].tolist()
-        cells[2::4] = sums[lo:hi].tolist()
-        cells[3::4] = (sums[lo:hi] / n).tolist()
-        parts.append("%d,%d,%d,%r\n" * (hi - lo) % tuple(cells))
-    return "".join(parts)
+        cells[2::4] = sums.tolist()
+        cells[3::4] = (sums / n).tolist()
+        text += "%d,%d,%d,%r\n" * (hi - lo) % tuple(cells)
+    return text

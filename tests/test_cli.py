@@ -5,14 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rifs_lab import (Frame, build_branch_profile, cli, enumerate_cylinders, minimal_frame,
-                      pressure)
+from rifs_lab import (Frame, ProbVector, build_branch_profile, cli, cover, enumerate_cylinders,
+                      minimal_frame, pressure, sample_scenery, sampler, scenery_csv)
 from rifs_lab.cover import BLOCK
 from rifs_lab.cli import main
 
@@ -358,6 +359,16 @@ class TestCoverWriters:
         assert capsys.readouterr().out == ""
         assert path.read_text() == out
 
+    def test_points_writes_the_same_bytes_to_stdout_and_out(self, capsys, tmp_path):
+        argv = ["cover", "points", "--symbols", "2,1", "--d", "2", "--depth", "15"]
+        code, out = run(capsys, *argv)
+        # several slices, the last one short
+        assert len(out) > 3 * cli._WRITE_SLICE and len(out) % cli._WRITE_SLICE
+        path = tmp_path / "points.csv"
+        assert code == 0 and main(argv + ["--out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_text() == out
+
     def test_outputs_match_pinned_digests(self, capsys):
         # recorded from the row-at-a-time writers, on a cover of 2^16 words
         pinned = load_json("cover_digests.json")
@@ -515,6 +526,46 @@ class TestOutsideInput:
             Path(paths[name]).write_text(json.dumps(doc))
         code, doc = run_json(capsys, *[paths.get(a, a) for a in argv])
         assert code == 2 and "error" in doc
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of Python-allocated bytes while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    """The CSV writers hold their text once: no list of blocks beside the
+    joined text, and no encoded copy of it on the way to a file.  Blocks are
+    made small so that the text spans many of them: the block temporaries
+    stay far below its size, and so do the copies that ``text +=`` makes
+    before CPython has specialized the loop (its first few appends)."""
+
+    def test_scenery_csv_grows_one_text(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_CSV_BLOCK", 1 << 11)
+        path = sample_scenery(ProbVector("inverse_square"), 2 ** 18, seed=0)
+        path.symbols  # the input array, inverted before tracing starts
+        text, peak = _traced_peak(scenery_csv, path)
+        assert text.count("\n") == 1 + 2 ** 18
+        assert peak < 1.5 * len(text)
+
+    def test_emit_points_grows_one_text(self, monkeypatch):
+        monkeypatch.setattr(cover, "BLOCK", 1 << 12)
+        corners = enumerate_cylinders(build_branch_profile((2, 1), minimal_frame(1), 2), 17)
+        assert len(corners) == 2 ** 18
+        text, peak = _traced_peak(cover.emit_points, corners, 17)
+        assert peak < 1.5 * len(text)
+
+    def test_write_text_to_a_file_makes_no_full_copy(self, capsys, tmp_path):
+        text = "0123456789,abcd\n" * (2 ** 19 + 3)  # 8 MiB and 48 bytes
+        path = tmp_path / "big.csv"
+        _, peak = _traced_peak(cli._write_text, text, path)
+        capsys.readouterr()
+        assert path.read_text() == text
+        assert peak < len(text) / 8
 
 
 def _child_env(**extra) -> dict:
