@@ -17,20 +17,8 @@ import sys
 from pathlib import Path
 
 from . import bowen, cover, pressure, sampler
-from .frame import (
-    Frame,
-    FrameError,
-    frame_from_doc,
-    frame_pairs,
-    minimal_frame,
-    validate_frame,
-)
-from .rifs import (
-    ProbVector,
-    SpecValidationError,
-    check_bowen_hypothesis,
-    load_spec,
-)
+from .frame import Frame, FrameError, frame_from_doc, frame_pairs, minimal_frame, validate_frame
+from .rifs import ProbVector, SpecValidationError, check_bowen_hypothesis, load_spec
 
 SCHEMA = "rifs-lab/1"
 
@@ -253,18 +241,17 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
     ``points`` checks d and the depth before it enumerates, and writes the
     CSV text in slices.  ``enum`` takes every byte from ``json.dumps(indent=2,
-    sort_keys=True)`` of the document with one probe cube whose corners are
-    ``%d`` placeholders, split into a head, that cube's template and a tail;
-    the cubes are then written :data:`cover.BLOCK` rows at a time, each block
-    by one ``%`` over the template repeated (``%d`` prints a Python int as
-    ``json`` does), so no per-word object is built and the document is never
-    held whole in memory.
+    sort_keys=True)`` of the document with two probe cubes whose corner values
+    are ``"%d"``: the text before each value of the second cube is the cell
+    prefix that :func:`cover.render_rows` puts before that column's values,
+    and its blocks are written as they come, so the document is never held
+    whole in memory.
     """
     profile = _profile_from_args(args)
     if args.cover_cmd == "exponents":
         depths = _parse_list(args.depths, int, "--depths")
-        if min(depths) < 0:
-            raise SpecValidationError("--depths values must be >= 0")
+        if min(depths) < 1:
+            raise SpecValidationError("--depths values must be >= 1")
         pairs = cover.box_exponents(profile, depths)
         lines = ["m,exponent"] + [f"{m},{e!r}" for m, e in pairs]
         _write_text("\n".join(lines) + "\n", args.out, rows=len(pairs))
@@ -277,24 +264,20 @@ def cmd_cover(args: argparse.Namespace) -> int:
         _write_text(cover.emit_points(corners, args.depth), args.out, rows=len(corners))
         return 0
 
-    text = json.dumps({
+    parts = json.dumps({
         "schema": SCHEMA,
         "depth": args.depth,
         "count": len(corners),
         "osc": cover.osc_check(corners),
-        "cubes": [{"level": args.depth, "corner": ["%d"] * args.d}],
-    }, indent=2, sort_keys=True)
-    start = text.rindex("{", 0, text.index('"%d"'))
-    end = text.index("}", text.rindex('"%d"')) + 1
-    cube = text[start:end].replace('"%d"', "%d")
-    sep = "," + text[text.rindex("\n", 0, start):start]  # between two cubes
+        "cubes": [{"level": args.depth, "corner": ["%d"] * args.d}] * 2,
+    }, indent=2, sort_keys=True).split('"%d"')
+    pieces = parts[args.d:-1]  # the text before each corner value of the second cube
+    blocks = cover.render_rows(corners, lambda l, values: [
+        pieces[l] + str(v) for v in values.tolist()])
     with _open_out(args.out) as fh:
-        fh.write(text[:start])
-        for i in range(0, len(corners), cover.BLOCK):
-            rows = corners[i:i + cover.BLOCK]
-            fh.write(sep if i else "")
-            fh.write(sep.join([cube] * len(rows)) % tuple(rows.ravel().tolist()))
-        fh.write(text[end:] + "\n")
+        fh.write(parts[0] + next(blocks)[len(pieces[0]):])  # the first cube follows the head
+        fh.writelines(blocks)
+        fh.write(parts[-1] + "\n")
     return 0
 
 

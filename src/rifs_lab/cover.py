@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -157,9 +158,19 @@ def enumerate_cylinders(
 
 
 def osc_check(corners: np.ndarray) -> bool:
-    """Pairwise-disjoint interiors: same-level dyadic cubes, distinct corners."""
-    ordered = corners[np.lexsort(corners.T)]
-    return not (ordered[1:] == ordered[:-1]).all(axis=1).any()
+    """Pairwise-disjoint interiors: same-level dyadic cubes, distinct corners.
+
+    The numerators are nonnegative, so a row packs into one sort key: its
+    columns side by side in fields as wide as the largest numerator, an
+    ``int64`` while the d fields fit in 62 bits and a Python int beyond.
+    """
+    width = int(corners.max(initial=0)).bit_length()
+    key = np.zeros(len(corners), dtype=np.int64 if corners.shape[1] * width <= 62 else object)
+    for column in corners.T:
+        key <<= width
+        key |= column.astype(key.dtype, copy=False)
+    key.sort()
+    return not (key[1:] == key[:-1]).any()
 
 
 def box_exponents(
@@ -173,36 +184,44 @@ def box_exponents(
     """
     out = []
     for m in depths:
-        hm = HybridNumber.from_int(m) if isinstance(m, int) else m
+        hm = HybridNumber.from_int(max(m, 0)) if isinstance(m, int) else m
+        if hm.is_zero:  # d*B_0/0 is 0/0
+            raise CoverageError("depth must be >= 1")
         bm = profile.branch_count_at(hm)
         e = 0.0 if bm.is_zero else profile.d * 2.0 ** (bm.log2 - hm.log2)
         out.append((m, min(e, float(profile.d))))
     return out
 
 
+def render_rows(corners: np.ndarray, cells: Callable[..., list[str]]) -> Iterator[str]:
+    """Rows of ``corners`` as text, one ``str`` per :data:`BLOCK` of them.
+
+    ``cells(l, values)`` formats column l's sorted distinct values, once each:
+    at most 2^B_m = N^(1/d) of them in a cover of N = 2^(d*B_m) words.  Each
+    block finds its cells by binary search, so no per-row index is held.
+    """
+    distinct = [np.unique(column) for column in corners.T]
+    table = [np.array(cells(l, values), dtype=object) for l, values in enumerate(distinct)]
+    for i in range(0, len(corners), BLOCK):
+        rows = np.stack([cell[np.searchsorted(values, column)] for cell, values, column
+                         in zip(table, distinct, corners[i:i + BLOCK].T)], axis=1)
+        yield "".join(rows.ravel().tolist())
+
+
 def emit_points(corners: np.ndarray, level: int) -> str:
     """CSV of cube corners and side lengths for external plotting (d <= 3).
 
     A coordinate is ``repr`` of the corner numerator over 2^level, divided
-    once (true division rounds once, also past the float range).  Division
-    and ``repr`` run once per distinct value of a column, at most
-    2^B_m = N^(1/d) of them in a cover of N = 2^(d*B_m) words, so d*N^(1/d)
-    times, not d*N; each block of :data:`BLOCK` rows finds its cells by
-    binary search among them, so no per-row index is held.  Blocks are
-    appended with ``text +=``, which CPython grows in place (once the loop
-    is specialized) while nothing else refers to ``text``: never alias it.
-    The CLI writes the ``str`` in slices and the tracer reads its length.
+    once (true division rounds once, also past the float range).  Blocks are
+    appended with ``text +=``, which CPython grows in place (once the loop is
+    specialized) while nothing else refers to ``text``: never alias it.  The
+    CLI writes the ``str`` in slices and the tracer reads its length.
     """
-    n, d = corners.shape
+    d = corners.shape[1]
     PointExportError.check(d, level)
     ends = [","] * (d - 1) + [f",{2.0 ** -level!r}\n"]
-    distinct = [np.unique(corners[:, l]) for l in range(d)]
-    cells = [np.array([repr(x) + end for x in (values / (1 << level)).tolist()], dtype=object)
-             for values, end in zip(distinct, ends)]
     text = ",".join(["x", "y", "z"][:d]) + ",side\n"
-    for i in range(0, n, BLOCK):
-        block = corners[i:i + BLOCK]
-        rows = np.stack([cells[l][np.searchsorted(distinct[l], block[:, l])]
-                         for l in range(d)], axis=1)
-        text += "".join(rows.ravel().tolist())
+    for block in render_rows(corners, lambda l, values: [
+            repr(x) + ends[l] for x in (values / (1 << level)).tolist()]):
+        text += block
     return text

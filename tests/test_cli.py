@@ -315,6 +315,13 @@ class TestCoverCommand:
         assert code == 2 and message in doc["error"]
         assert "required_budget" not in doc
 
+    @pytest.mark.parametrize("depths", ["0", "3,0", "-2"])
+    def test_exponents_reject_depths_below_one(self, capsys, depths):
+        # d*B_0/0 is 0/0, so no exponent is printed for depth 0
+        code, doc = run_json(capsys, "cover", "exponents", "--symbols", "1,2",
+                             "--depths", depths)
+        assert code == 2 and doc["error"] == "--depths values must be >= 1"
+
     def test_exponent_csv(self, capsys):
         code, out = run(capsys, "cover", "exponents", "--symbols", "1,2",
                         "--d", "1", "--depths", "2,10")
@@ -370,14 +377,18 @@ class TestCoverWriters:
         assert path.read_text() == out
 
     def test_outputs_match_pinned_digests(self, capsys):
-        # recorded from the row-at-a-time writers, on a cover of 2^16 words
+        # the first cover (d = 2, 2^16 words) was recorded from the
+        # row-at-a-time writers; the others (d = 1 in two blocks, d = 3 in
+        # exactly one, and Python-int corners at depth 100) from the
+        # %-template enum writer that the shared row renderer replaced
         pinned = load_json("cover_digests.json")
-        assert pinned["words"] > BLOCK
-        for cmd in ("enum", "points"):
-            code, out = run(capsys, "cover", cmd, *pinned["argv"])
-            data = out.encode()
-            assert code == 0 and len(data) == pinned[cmd]["bytes"]
-            assert hashlib.sha256(data).hexdigest() == pinned[cmd]["sha256"]
+        assert pinned[0]["words"] > BLOCK and pinned[2]["words"] == BLOCK
+        for entry in pinned:
+            for cmd in ("enum", "points"):
+                code, out = run(capsys, "cover", cmd, *entry["argv"])
+                data = out.encode()
+                assert code == 0 and len(data) == entry[cmd]["bytes"]
+                assert hashlib.sha256(data).hexdigest() == entry[cmd]["sha256"]
 
 
 class TestSampleCommand:
@@ -558,6 +569,17 @@ class TestWriterMemory:
         assert len(corners) == 2 ** 18
         text, peak = _traced_peak(cover.emit_points, corners, 17)
         assert peak < 1.5 * len(text)
+
+    def test_cover_enum_streams_to_a_file(self, monkeypatch, capsys, tmp_path):
+        # the cubes go out block by block: the peak holds the corners and
+        # the open-set key, far less than the document
+        monkeypatch.setattr(cover, "BLOCK", 1 << 12)
+        path = tmp_path / "enum.json"
+        code, peak = _traced_peak(main, ["cover", "enum", "--symbols", "2,1", "--d", "2",
+                                         "--depth", "17", "--out", str(path)])
+        capsys.readouterr()
+        assert code == 0 and json.loads(path.read_text())["count"] == 2 ** 18
+        assert peak < path.stat().st_size / 2
 
     def test_write_text_to_a_file_makes_no_full_copy(self, capsys, tmp_path):
         text = "0123456789,abcd\n" * (2 ** 19 + 3)  # 8 MiB and 48 bytes

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rifs_lab import build_branch_profile, minimal_frame
+from rifs_lab import HybridNumber, build_branch_profile, minimal_frame
 from rifs_lab.cover import (
     BLOCK,
     BudgetError,
@@ -20,7 +20,7 @@ from rifs_lab.cover import (
     osc_check,
     step_flags,
 )
-from rifs_lab.pressure import refined_log_sum
+from rifs_lab.pressure import CoverageError, refined_log_sum
 
 from oracles import brute_force_cubes, cover_points_reference
 
@@ -161,6 +161,45 @@ class TestOSC:
         assert not osc_check(cubes)
         assert osc_check(cubes[:3])
 
+    @staticmethod
+    def distinct_rows(corners) -> bool:
+        rows = corners.tolist()
+        return len(set(map(tuple, rows))) == len(rows)
+
+    # (d, width): the packed key is int64 while d*width <= 62, a Python int
+    # beyond; int64 corners hold numerators below 2^63
+    @pytest.mark.parametrize("d, width, dtype", [
+        (d, width, dtype) for d, width in [(1, 62), (2, 31), (1, 63), (3, 21), (3, 22), (2, 90)]
+        for dtype in (np.int64, object) if width <= 63 or dtype is object])
+    def test_matches_distinct_rows_at_the_key_handoff(self, d, width, dtype):
+        rng = random.Random(100 * d + width)
+        # few values per column, so that rows repeat; the widest sets the width
+        pool = [rng.getrandbits(width) for _ in range(3)] + [(1 << width) - 1]
+        rows = [tuple(rng.choice(pool) for _ in range(d)) for _ in range(300)]
+        distinct = list(dict.fromkeys(rows))
+        rng.shuffle(distinct)
+        # the last sample repeats its first row at the far end
+        for sample in (rows[:2], rows[:3], rows, distinct, distinct + distinct[:1]):
+            corners = np.array(sample, dtype=dtype)
+            assert osc_check(corners) == self.distinct_rows(corners)
+        assert osc_check(np.array(distinct, dtype=dtype))
+        assert not osc_check(np.array(distinct + distinct[:1], dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_rows_that_differ_only_in_the_top_bits_of_a_wide_key(self, dtype):
+        # d*width = 66: an int64 key would drop the top bits of column 0 and
+        # read these two distinct rows as one
+        cubes = np.array([[1 << 21, 0, 0], [0, 0, 0]], dtype=dtype)
+        assert osc_check(cubes)
+        assert not osc_check(cubes[[0, 1, 0]])
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_empty_and_single_row(self, dtype, d):
+        assert osc_check(np.zeros((0, d), dtype=dtype))
+        assert osc_check(np.zeros((1, d), dtype=dtype))
+        assert not osc_check(np.zeros((2, d), dtype=dtype))
+
     def test_all_enumerations_pass(self, pseudo_frame):
         profile = build_branch_profile((1, 2, 3, 1), pseudo_frame, 1)
         for m in range(1, 14):
@@ -210,6 +249,13 @@ class TestBoxExponents:
         profile = build_branch_profile((3, 2, 1), pseudo_frame, 2)
         for _, e in box_exponents(profile, list(range(1, 13))):
             assert 0.0 <= e <= 2.0
+
+    @pytest.mark.parametrize("m", [0, -1, HybridNumber.from_int(0)])
+    def test_depth_below_one_rejected(self, frame5, m):
+        # d*B_0/0 is 0/0: no exponent exists there
+        profile = build_branch_profile((1, 2), frame5, 1)
+        with pytest.raises(CoverageError, match="depth must be >= 1"):
+            box_exponents(profile, [2, m])
 
     def test_promoted_depth_in_log_space(self):
         # level 12 entries are promoted (~253000 bits) but log2 stays sharp
