@@ -8,12 +8,14 @@ byte-identical across runs for identical configs and seeds.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
+import itertools
 import json
 import math
 import os
+import stat
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import bowen, cover, pressure, sampler
@@ -23,30 +25,50 @@ from .rifs import ProbVector, SpecValidationError, check_bowen_hypothesis, load_
 SCHEMA = "rifs-lab/1"
 
 
-def _open_out(out: Path | None):
-    """Text sink: the file ``out``, or stdout (left open) when ``out`` is None."""
-    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
-
-
-def _emit(doc: dict, out: Path | None = None) -> None:
-    """Stream ``doc`` with the schema tag as indented JSON to ``out`` or stdout."""
-    with _open_out(out) as fh:
-        json.dump({"schema": SCHEMA, **doc}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-#: Most characters handed to one ``write``.  An unbuffered stdout passes each
-#: write to one raw ``write`` and ignores a short count, so a reader that has
-#: gone must meet a later slice, which raises ``BrokenPipeError``; a text-mode
-#: file encodes each write whole, so no full-size bytes copy of the text is made.
+#: Most characters handed to one ``write``.  An unbuffered stdout ignores a short
+#: count, so a reader that has gone must meet a later slice (``BrokenPipeError``);
+#: a file gets each slice encoded on its own, with no full-size bytes copy.
 _WRITE_SLICE = 1 << 16
 
 
+def _write(pieces: Iterable[str], out: Path | None = None) -> None:
+    """Write the ``str`` pieces in slices to stdout, or over the file ``out``.
+
+    The file is not truncated on open, which on ext4 makes ``close`` start its
+    writeback; a regular file is cut to the bytes written afterwards, also when
+    a piece raises.  So a process killed mid-write can leave the old tail after
+    the new bytes, where ``O_TRUNC`` left a short file.  Nothing is synced.
+    """
+    slices = (piece[i:i + _WRITE_SLICE] for piece in pieces
+              for i in range(0, len(piece), _WRITE_SLICE))
+    if out is None:
+        sys.stdout.writelines(slices)
+        return
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        for text in slices:
+            data = memoryview(text.encode())
+            while data:
+                n = os.write(fd, data)
+                written, data = written + n, data[n:]
+    finally:
+        try:
+            st = os.fstat(fd)  # a device is not cut, nor a file already as long
+            if stat.S_ISREG(st.st_mode) and st.st_size > written:
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
+def _emit(doc: dict, out: Path | None = None) -> None:
+    """Write ``doc`` with the schema tag as indented JSON to ``out`` or stdout."""
+    _write([json.dumps({"schema": SCHEMA, **doc}, indent=2, sort_keys=True), "\n"], out)
+
+
 def _write_text(text: str, out: Path | None, **fields) -> None:
-    """Write CSV text in slices to stdout, or to ``out`` and report it with ``fields``."""
-    with _open_out(out) as fh:
-        for i in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[i:i + _WRITE_SLICE])
+    """Write CSV text to stdout, or to ``out`` and report it with ``fields``."""
+    _write([text], out)
     if out is not None:
         _emit({"written": str(out), **fields})
 
@@ -196,7 +218,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         estimates.append(run.estimate)
         per_seed.append(record)
         if out_dir is not None:
-            (out_dir / f"seed_{seed}.csv").write_text(_rows_to_csv(run))
+            _write([_rows_to_csv(run)], out_dir / f"seed_{seed}.csv")
 
     summary = {
         "bowen": bowen.bowen_parameter(spec),
@@ -239,13 +261,13 @@ def _profile_from_args(args: argparse.Namespace):
 def cmd_cover(args: argparse.Namespace) -> int:
     """``cover exponents``, ``enum`` or ``points`` on one symbol prefix.
 
-    ``points`` checks d and the depth before it enumerates, and writes the
-    CSV text in slices.  ``enum`` takes every byte from ``json.dumps(indent=2,
-    sort_keys=True)`` of the document with two probe cubes whose corner values
-    are ``"%d"``: the text before each value of the second cube is the cell
-    prefix that :func:`cover.render_rows` puts before that column's values,
-    and its blocks are written as they come, so the document is never held
-    whole in memory.
+    ``points`` and ``enum`` check d and the depth before they enumerate, so
+    that every number they print fits its format.  ``enum`` takes every byte
+    from ``json.dumps(indent=2, sort_keys=True)`` of the document with two
+    probe cubes whose corner values are ``"%d"``: the text before each value
+    of the second cube is the cell prefix that :func:`cover.render_rows` puts
+    before that column's values, and its blocks are written as they come, so
+    the document is never held whole in memory.
     """
     profile = _profile_from_args(args)
     if args.cover_cmd == "exponents":
@@ -258,6 +280,10 @@ def cmd_cover(args: argparse.Namespace) -> int:
         return 0
     if args.cover_cmd == "points":
         cover.PointExportError.check(args.d, args.depth)
+    elif args.d * args.depth > cover.MAX_ENUM_BITS:
+        raise SpecValidationError(
+            f"cover enum supports d * depth <= {cover.MAX_ENUM_BITS}, where its numbers "
+            f"print; got {args.d} * {args.depth}")
 
     corners = cover.enumerate_cylinders(profile, args.depth, budget=args.budget)
     if args.cover_cmd == "points":
@@ -274,10 +300,8 @@ def cmd_cover(args: argparse.Namespace) -> int:
     pieces = parts[args.d:-1]  # the text before each corner value of the second cube
     blocks = cover.render_rows(corners, lambda l, values: [
         pieces[l] + str(v) for v in values.tolist()])
-    with _open_out(args.out) as fh:
-        fh.write(parts[0] + next(blocks)[len(pieces[0]):])  # the first cube follows the head
-        fh.writelines(blocks)
-        fh.write(parts[-1] + "\n")
+    head = parts[0] + next(blocks)[len(pieces[0]):]  # the first cube follows the head
+    _write(itertools.chain([head], blocks, [parts[-1] + "\n"]), args.out)
     return 0
 
 

@@ -26,6 +26,11 @@ DEFAULT_BUDGET = 2 ** 20
 #: Deepest level whose cube side 2^-level is a nonzero float (a subnormal).
 MAX_POINTS_LEVEL = 1074
 
+#: Largest d * depth of a ``cover enum`` run: its corner numerators lie below
+#: 2^depth and its word count 2^(d*B_m) is at most 2^(d*depth), and 2^14284 has
+#: 4300 digits, the most CPython converts to text by default.
+MAX_ENUM_BITS = 14284
+
 #: Rows formatted at a time by the ``cover enum`` and ``cover points`` writers.
 BLOCK = 1 << 15
 
@@ -36,9 +41,10 @@ class BudgetError(RuntimeError):
     def __init__(self, required: int, budget: int):
         self.required = required
         self.budget = budget
+        words = f"2^{required.bit_length() - 1}"  # required is 2^k, and may not print
         super().__init__(
-            f"enumeration needs {required} words, budget is {budget}; "
-            f"rerun with a budget of at least {required}"
+            f"enumeration needs {words} words, budget is {budget}; "
+            f"rerun with a budget of at least {words}"
         )
 
 

@@ -138,16 +138,18 @@ class TestCounterexampleCommand:
         assert summary["estimates"]["max"] < 0.2
 
     def test_byte_identical_reruns(self, capsys, frame_family_path, tmp_path):
+        # the rerun rewrites the first run's files, each made longer first
+        out_dir = tmp_path / "run"
+        files = [out_dir / "seed_607.csv", out_dir / "summary.json"]
         outs = []
-        for name in ("a", "b"):
-            out_dir = tmp_path / name
+        for _ in range(2):
             code, _ = run(capsys, "counterexample", frame_family_path,
                           "--seeds", "607", "--horizon", "4000", "--out", str(out_dir))
             assert code == 0
-            outs.append((
-                (out_dir / "seed_607.csv").read_bytes(),
-                (out_dir / "summary.json").read_bytes(),
-            ))
+            outs.append([p.read_bytes() for p in files])
+            for p in files:
+                with p.open("ab") as fh:
+                    fh.write(b"junk\n" * 5000)
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("name", list(load_json("counterexample_digests.json")["runs"]))
@@ -241,6 +243,15 @@ class TestCoverCommand:
                              "--d", "1", "--depth", "48", "--budget", "16")
         assert code != 0
         assert doc["required_budget"] == 2 ** 32
+        assert "needs 2^32 words" in doc["error"]
+
+    @pytest.mark.parametrize("d, depth", [(1, cover.MAX_ENUM_BITS), (2, cover.MAX_ENUM_BITS // 2)])
+    def test_enum_at_the_print_limit(self, capsys, d, depth):
+        # one branching step, at step 2: the last corner numerator is 2^(depth-2)
+        code, doc = run_json(capsys, "cover", "enum", "--symbols", "1,4", "--d", str(d),
+                             "--depth", str(depth))
+        assert code == 0 and doc["count"] == 2 ** d
+        assert doc["cubes"][-1]["corner"] == [2 ** (depth - 2)] * d
 
     @pytest.mark.parametrize("argv", [
         ["enum", "--symbols", "1,x", "--depth", "2"],
@@ -362,6 +373,7 @@ class TestCoverWriters:
         argv = ["cover", "enum", "--symbols", "2,3", "--d", "1", "--depth", "40"]
         code, out = run(capsys, *argv)
         path = tmp_path / "enum.json"
+        path.write_text("9" * (len(out) + 12345))  # an older, longer file is rewritten
         assert code == 0 and main(argv + ["--out", str(path)]) == 0
         assert capsys.readouterr().out == ""
         assert path.read_text() == out
@@ -372,6 +384,7 @@ class TestCoverWriters:
         # several slices, the last one short
         assert len(out) > 3 * cli._WRITE_SLICE and len(out) % cli._WRITE_SLICE
         path = tmp_path / "points.csv"
+        path.write_text("9" * (len(out) + 12345))  # an older, longer file is rewritten
         assert code == 0 and main(argv + ["--out", str(path)]) == 0
         capsys.readouterr()
         assert path.read_text() == out
@@ -416,6 +429,7 @@ class TestSampleCommand:
         argv = ["sample", "--seed", "0", "--horizon", "100000"]
         code, out = run(capsys, *argv)
         path = tmp_path / "scenery.csv"
+        path.write_text("9" * (len(out) + 12345))  # an older, longer file is rewritten
         assert code == 0 and main(argv + ["--out", str(path)]) == 0
         capsys.readouterr()
         assert path.read_text() == out
@@ -503,6 +517,10 @@ class TestOutsideInput:
         ["dimensions", "BOOLEAN_MULTIPLICITY"],
         ["dimensions", "BOOLEAN_DIMENSION"],
         ["dimensions", "BOOLEAN_FRAME_LEVELS"],
+        # numbers past CPython's 4300-digit int printing limit: a corner
+        # numerator, and the word count of a budget error
+        ["cover", "enum", "--symbols", "1,4", "--d", "1", "--depth", "15000"],
+        ["cover", "enum", "--symbols", "1,3", "--d", "1", "--depth", "28826"],
     ], ids=["frame-validate-missing-file", "cover-missing-frame-file", "cover-d-zero",
             "exponents-negative-depth", "frame-gen-unwritable-out",
             "dimensions-unwritable-out", "counterexample-unwritable-out",
@@ -516,7 +534,8 @@ class TestOutsideInput:
             "counterexample-t-grid-nan", "counterexample-t-grid-inf", "dimensions-tol-inf",
             "string-probability", "string-eta", "nan-probability", "infinite-log2-ratio",
             "fractional-multiplicity", "boolean-multiplicity", "boolean-dimension",
-            "boolean-frame-levels"])
+            "boolean-frame-levels", "cover-enum-corner-past-print-range",
+            "cover-enum-word-count-past-print-range"])
     def test_ends_in_error_document(self, capsys, tmp_path, argv):
         (tmp_path / "regular_file").write_text("")
         paths = {
@@ -590,6 +609,55 @@ class TestWriterMemory:
         assert peak < len(text) / 8
 
 
+class TestFileWriter:
+    """Every ``--out`` file is rewritten in place by ``cli._write`` and cut
+    to the bytes written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--seed", "42", "--horizon", "10000"],
+        ["cover", "enum", "--symbols", "2,1", "--d", "2", "--depth", "12"],
+    ])
+    def test_short_writes_keep_the_bytes(self, capsys, tmp_path, monkeypatch, argv):
+        _, want = run(capsys, *argv)
+        path = tmp_path / "out"
+        path.write_text("9" * (len(want) + 12345))
+        real, counts = os.write, []
+
+        def short_write(fd, data):
+            counts.append(real(fd, data[:1000]))
+            return counts[-1]
+
+        monkeypatch.setattr(os, "write", short_write)
+        assert main(argv + ["--out", str(path)]) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert path.read_text() == want
+        assert len(counts) > len(want) // 1000
+
+    def test_piece_raising_midway_cuts_the_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n" * cli._WRITE_SLICE)
+
+        def pieces():
+            yield "a" * (cli._WRITE_SLICE + 10)
+            yield "b" * 5
+            raise RuntimeError("renderer failed")
+
+        with pytest.raises(RuntimeError, match="renderer failed"):
+            cli._write(pieces(), path)
+        assert path.read_text() == "a" * (cli._WRITE_SLICE + 10) + "b" * 5
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--horizon", "10"],
+        ["cover", "points", "--symbols", "2,1", "--d", "2", "--depth", "6"],
+        ["dimensions", TWO_IFS_CONFIG],
+    ])
+    def test_device_target_is_written_and_not_cut(self, capsys, argv):
+        # a device is written but never cut: ftruncate on one raises EINVAL
+        code, _ = run(capsys, *argv, "--out", os.devnull)
+        assert code == 0
+
+
 def _child_env(**extra) -> dict:
     """This environment for a ``python -m rifs_lab.cli`` child, with ``extra``."""
     env = dict(os.environ, **extra)
@@ -598,11 +666,16 @@ def _child_env(**extra) -> dict:
     return env
 
 
+#: A summary of about 150 KiB on stdout: seeds 0..999 all complete at horizon 1.
+_BIG_SUMMARY = ["counterexample", D1_CONFIG, "--seeds", "0:1000", "--horizon", "1"]
+
+
 class TestClosedPipe:
-    # each output is megabytes, far more than a pipe holds
+    # each output is more than a pipe and one write slice hold
     @pytest.mark.parametrize("argv", [
         ["cover", "enum", "--symbols", "2,1", "--d", "2", "--depth", "16"],
         ["sample", "--seed", "0", "--horizon", "100000"],
+        _BIG_SUMMARY,
     ])
     def test_reader_closing_early_ends_quietly(self, argv):
         # buffered stdout, as Python sets it up by default
@@ -624,6 +697,7 @@ class TestClosedPipe:
     @pytest.mark.parametrize("argv", [
         ["sample", "--seed", "0", "--horizon", "100000"],
         ["cover", "points", "--symbols", "2,1", "--d", "2", "--depth", "16"],
+        _BIG_SUMMARY,
     ])
     def test_reader_closing_early_ends_quietly_unbuffered(self, argv):
         # an unbuffered stdout ignores a short write, so a single write of
@@ -640,6 +714,11 @@ class TestClosedPipe:
             proc.kill()
             proc.stderr.close()
         assert err == b""
+
+    def test_big_summary_exits_0_when_read_whole(self, capsys):
+        # so exit 1 above comes from the closed pipe, not from a failed seed
+        code, out = run(capsys, *_BIG_SUMMARY)
+        assert code == 0 and len(out) > 2 * cli._WRITE_SLICE
 
 
 class TestSharedConstants:

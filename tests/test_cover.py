@@ -102,6 +102,11 @@ class TestEnumerateCylinders:
         with pytest.raises(BudgetError) as err:
             enumerate_cylinders(profile, 20, budget=64)
         assert err.value.required == 2 ** (2 * 9)
+        assert "needs 2^18 words" in str(err.value)
+
+    def test_budget_error_prints_a_count_past_int_print_range(self):
+        # 2^20000 has 6021 digits, more than CPython converts to text by default
+        assert "needs 2^20000 words" in str(BudgetError(2 ** 20000, 16))
 
     def test_lexicographic_order_is_deterministic(self, pseudo_frame):
         profile = build_branch_profile((2, 2), pseudo_frame, 1)
