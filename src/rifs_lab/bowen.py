@@ -197,7 +197,8 @@ def _bisect_root(decreasing: Callable[[float], float], tol: float, what: str) ->
     """Smallest t with decreasing(t) <= 0, to width tol.
 
     The callee is strictly decreasing in t; the bracket grows by doubling
-    from t = 1 with an overflow guard.
+    from t = 1 with an overflow guard.  A ``tol`` below the float spacing
+    at the root stops at adjacent ends, where the midpoint is one of them.
     """
     if decreasing(0.0) <= 0.0:
         return 0.0
@@ -209,6 +210,8 @@ def _bisect_root(decreasing: Callable[[float], float], tol: float, what: str) ->
     lo = 0.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            break
         if decreasing(mid) > 0.0:
             lo = mid
         else:

@@ -78,23 +78,12 @@ def _fail(message: str, detail: dict | None = None) -> int:
     return 2
 
 
-def _parse_seeds(text: str) -> list[int]:
-    base_str, _, count_str = text.partition(":")
+def _read_frame(path: str) -> object:
+    """The JSON document in a frame file."""
     try:
-        base, count = int(base_str), int(count_str or "1")
-    except ValueError:
-        raise SpecValidationError(f"--seeds expects BASE:COUNT, got {text!r}")
-    if count < 1:
-        raise SpecValidationError("--seeds count must be >= 1")
-    return [base + i for i in range(count)]
-
-
-def _parse_list(text: str, kind: type, flag: str) -> list:
-    try:
-        return [kind(x) for x in text.split(",")]
-    except ValueError:
-        raise SpecValidationError(
-            f"{flag} expects comma-separated {kind.__name__} values, got {text!r}")
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FrameError(f"not valid JSON: {exc}") from exc
 
 
 # -- frame -----------------------------------------------------------------
@@ -102,16 +91,11 @@ def _parse_list(text: str, kind: type, flag: str) -> list:
 
 def cmd_frame(args: argparse.Namespace) -> int:
     if args.frame_cmd == "gen":
-        if args.levels < 1:
-            raise SpecValidationError("--levels must be >= 1")
         frame = minimal_frame(args.levels, slack=tuple(args.slack) if args.slack else None)
         _emit({"frame": frame.to_doc(), "entries": _frame_entries(frame)}, args.out)
         return 0
 
-    try:
-        doc = json.loads(Path(args.path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FrameError(f"not valid JSON: {exc}") from exc
+    doc = _read_frame(args.path)
     if isinstance(doc, dict):
         frame_from_doc(doc)
         _emit({"valid": True, "rule": doc.get("rule")})
@@ -138,9 +122,6 @@ def _frame_entries(frame: Frame) -> list[dict]:
 
 def cmd_dimensions(args: argparse.Namespace) -> int:
     spec = load_spec(Path(args.config).read_text())
-    if not (math.isfinite(args.tol) and args.tol > 0) or args.truncation < 1:
-        raise SpecValidationError("--tol must be finite and > 0, and --truncation >= 1")
-
     report: dict = {"tolerance": args.tol, "truncation": args.truncation,
                     "bowen": bowen.bowen_parameter(spec, tol=args.tol, truncation=args.truncation)}
     try:
@@ -179,14 +160,8 @@ def _rows_to_csv(run: pressure.SeedRun) -> str:
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
     spec = load_spec(Path(args.config).read_text())
-    seeds = _parse_seeds(args.seeds)
-    t_grid = _parse_list(args.t_grid, float, "--t-grid")
     if not spec.is_frame_family:
         raise SpecValidationError("the counterexample experiment needs a frame-family config")
-    if args.horizon < 1 or args.pairs < 1:
-        raise SpecValidationError("--horizon and --pairs must be >= 1")
-    if min(seeds) < 0 or not all(math.isfinite(t) and t >= 0 for t in t_grid):
-        raise SpecValidationError("seeds must be >= 0 and --t-grid values finite and >= 0")
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -196,10 +171,10 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     violations = 0
     truncated_seeds = 0
     failed = 0
-    for seed in seeds:
+    for seed in args.seeds:
         record: dict = {"seed": seed}
         try:
-            run = pressure.run_seed(spec, seed, args.horizon, args.pairs, t_grid)
+            run = pressure.run_seed(spec, seed, args.horizon, args.pairs, args.t_grid)
         # a symbol past the sampler's cap or the frame's representable depth
         except (FrameError, sampler.RareTailError) as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"
@@ -223,7 +198,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     summary = {
         "bowen": bowen.bowen_parameter(spec),
         "d": spec.d,
-        "seeds": len(seeds),
+        "seeds": len(args.seeds),
         "failed_seeds": failed,
         "truncated_seeds": truncated_seeds,
         "bound_violations": violations,
@@ -234,7 +209,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         },
         "per_seed": per_seed,
         "horizon": args.horizon,
-        "t_grid": t_grid,
+        "t_grid": args.t_grid,
     }
     _emit(summary, (out_dir / "summary.json") if out_dir is not None else None)
     if out_dir is not None:
@@ -243,19 +218,6 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 # -- cover ---------------------------------------------------------------------
-
-
-def _profile_from_args(args: argparse.Namespace):
-    symbols = _parse_list(args.symbols, int, "--symbols")
-    if any(s < 1 for s in symbols):
-        raise SpecValidationError("symbols are positive integers")
-    if args.d < 1:
-        raise SpecValidationError("--d must be >= 1")
-    if args.frame:
-        frame = frame_from_doc(json.loads(Path(args.frame).read_text()))
-    else:
-        frame = minimal_frame(1)  # generated frames extend on demand
-    return pressure.build_branch_profile(symbols, frame, args.d)
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
@@ -269,12 +231,11 @@ def cmd_cover(args: argparse.Namespace) -> int:
     before that column's values, and its blocks are written as they come, so
     the document is never held whole in memory.
     """
-    profile = _profile_from_args(args)
+    # a generated frame extends on demand
+    frame = frame_from_doc(_read_frame(args.frame)) if args.frame else minimal_frame(1)
+    profile = pressure.build_branch_profile(args.symbols, frame, args.d)
     if args.cover_cmd == "exponents":
-        depths = _parse_list(args.depths, int, "--depths")
-        if min(depths) < 1:
-            raise SpecValidationError("--depths values must be >= 1")
-        pairs = cover.box_exponents(profile, depths)
+        pairs = cover.box_exponents(profile, args.depths)
         lines = ["m,exponent"] + [f"{m},{e!r}" for m, e in pairs]
         _write_text("\n".join(lines) + "\n", args.out, rows=len(pairs))
         return 0
@@ -309,8 +270,6 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if args.horizon < 1 or args.seed < 0:
-        raise SpecValidationError("--horizon must be >= 1 and --seed >= 0")
     if args.config:
         probs = load_spec(Path(args.config).read_text()).probabilities
     else:
@@ -327,23 +286,63 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as :class:`SpecValidationError`, so that
+    :func:`main` ends it in an error document; subparsers share the class."""
+
+    def error(self, message: str):
+        raise SpecValidationError(message)
+
+
+def _bounded(kind: type, low: float, *, above: bool = False, many: bool = False):
+    """A flag ``type``: a finite ``kind`` at least ``low`` (above it when
+    ``above``), or with ``many`` a comma-separated list of them."""
+    name = "int" if kind is int else "finite float"
+    want = f"comma-separated {name} values" if many else f"one {name}"
+    want += f" {'>' if above else '>='} {low}"
+
+    def parse(text: str):
+        try:
+            values = [kind(x) for x in text.split(",")] if many else [kind(text)]
+        except ValueError:
+            values = [math.nan]  # fails the check below
+        if not all(-math.inf < v < math.inf and (v > low if above else v >= low) for v in values):
+            raise argparse.ArgumentTypeError(f"expects {want}, got {text!r}")
+        return values if many else values[0]
+    return parse
+
+
+def _seeds(text: str) -> range:
+    """The ``--seeds`` type: ``BASE[:COUNT]`` is seeds BASE..BASE+COUNT-1."""
+    base, _, count = text.partition(":")
+    try:
+        seeds = range(int(base), int(base) + int(count or "1"))
+    except ValueError:
+        seeds = range(0)
+    if not seeds or seeds.start < 0:
+        raise argparse.ArgumentTypeError(
+            f"expects BASE[:COUNT] with BASE >= 0 and COUNT >= 1, got {text!r}")
+    return seeds
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by every later call
     in the process; :func:`main` runs ``cmd_<command>`` for the command it
     parses, looked up when it runs."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rifs-lab",
         description="Random IFS lab: frames, dimension solvers, and the "
                     "dimension-drop experiment.",
     )
+    positive, positives = _bounded(int, 1), _bounded(int, 1, many=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_frame = sub.add_parser("frame", help="generate or validate frames")
     frame_sub = p_frame.add_subparsers(dest="frame_cmd", required=True)
     p_gen = frame_sub.add_parser("gen", help="generate a frame with tight axioms")
-    p_gen.add_argument("--levels", type=int, required=True)
-    p_gen.add_argument("--slack", type=int, nargs=2, metavar=("SU", "SV"),
+    p_gen.add_argument("--levels", type=positive, required=True)
+    p_gen.add_argument("--slack", type=positive, nargs=2, metavar=("SU", "SV"),
                        help="multipliers on the tight choices")
     p_gen.add_argument("--out", type=Path)
     p_val = frame_sub.add_parser("validate", help="check a frame file")
@@ -351,19 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dim = sub.add_parser("dimensions", help="Bowen and random-recursive dimensions")
     p_dim.add_argument("config", help="system config JSON")
-    p_dim.add_argument("--tol", type=float, default=1e-9)
-    p_dim.add_argument("--truncation", type=int, default=50)
+    p_dim.add_argument("--tol", type=_bounded(float, 0, above=True), default=1e-9)
+    p_dim.add_argument("--truncation", type=positive, default=50)
     p_dim.add_argument("--out", type=Path)
 
     p_ce = sub.add_parser("counterexample",
                           help="per-seed dimension-drop experiment")
     p_ce.add_argument("config", help="frame-family config JSON")
-    p_ce.add_argument("--seeds", default="0", metavar="BASE[:COUNT]",
+    p_ce.add_argument("--seeds", type=_seeds, default="0", metavar="BASE[:COUNT]",
                       help="seeds BASE..BASE+COUNT-1 (COUNT defaults to 1)")
-    p_ce.add_argument("--horizon", type=int, default=10_000)
-    p_ce.add_argument("--pairs", type=int, default=2,
+    p_ce.add_argument("--horizon", type=positive, default=10_000)
+    p_ce.add_argument("--pairs", type=positive, default=2,
                       help="record pairs (special times) per seed")
-    p_ce.add_argument("--t-grid", default="0,0.5,1")
+    p_ce.add_argument("--t-grid", type=_bounded(float, 0, many=True), default="0,0.5,1")
     p_ce.add_argument("--out", help="directory for per-seed CSV + summary.json")
 
     p_cov = sub.add_parser("cover", help="cylinder covers of a fixed prefix")
@@ -374,20 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
         ("points", "emit corner/side CSV for plotting"),
     ):
         pc = cov_sub.add_parser(name, help=helptext)
-        pc.add_argument("--symbols", required=True, help="comma-separated prefix")
+        pc.add_argument("--symbols", type=positives, required=True, help="comma-separated prefix")
         pc.add_argument("--frame", help="frame file (JSON); default the minimal frame")
-        pc.add_argument("--d", type=int, default=1)
+        pc.add_argument("--d", type=positive, default=1)
         pc.add_argument("--out", type=Path)
         if name == "exponents":
-            pc.add_argument("--depths", required=True, help="comma-separated depths")
+            pc.add_argument("--depths", type=positives, required=True,
+                            help="comma-separated depths")
         else:
-            pc.add_argument("--depth", type=int, required=True)
+            pc.add_argument("--depth", type=positive, required=True)
             pc.add_argument("--budget", type=int, default=cover.DEFAULT_BUDGET)
 
     p_sam = sub.add_parser("sample", help="sample a scenery to CSV")
     p_sam.add_argument("config", nargs="?", help="optional config JSON for probabilities")
-    p_sam.add_argument("--seed", type=int, default=0)
-    p_sam.add_argument("--horizon", type=int, default=1000)
+    p_sam.add_argument("--seed", type=_bounded(int, 0), default=0)
+    p_sam.add_argument("--horizon", type=positive, default=1000)
     p_sam.add_argument("--out", type=Path)
 
     return parser
@@ -396,14 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
 #: Errors caused by outside input (a config, a flag, a frame file, an output
 #: path) that end a command in an ``{"error": ...}`` document with exit 2.
 #: Anything else is a fault of the program and propagates.
-_INPUT_ERRORS = (SpecValidationError, FrameError, OSError, json.JSONDecodeError,
-                 pressure.CoverageError, cover.PointExportError,
-                 bowen.UnboundedDimensionError)
+_INPUT_ERRORS = (SpecValidationError, FrameError, OSError, pressure.CoverageError,
+                 cover.PointExportError, bowen.UnboundedDimensionError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a reader gone before any write shows up here
         return code

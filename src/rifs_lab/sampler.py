@@ -152,12 +152,8 @@ class SceneryPath:
         return self.head(len(self))
 
     @cached_property
-    def prefix_sums(self) -> np.ndarray:
-        return np.cumsum(self.symbols)
-
-    @cached_property
     def prefix_means(self) -> np.ndarray:
-        return self.prefix_sums / np.arange(1, len(self) + 1)
+        return np.cumsum(self.symbols) / np.arange(1, len(self) + 1)
 
 
 def sample_scenery(probs: ProbVector, length: int, seed: int) -> SceneryPath:
@@ -262,10 +258,10 @@ def scenery_csv(path: SceneryPath) -> str:
     ``str`` does, ``%r`` is ``repr``, and the int64 / int64 quotient is the
     one IEEE division ``float(ps) / n`` makes, exact cast below 2^53).  Each
     block carries its prefix sums on from the last one's int64 total (exact,
-    so equal to :attr:`SceneryPath.prefix_sums`, which stays unread) and
-    divides its own means, so only the symbols are held whole.  Blocks are
-    appended with ``text +=``, which CPython grows in place (once the loop
-    is specialized) while nothing else refers to ``text``: never alias it.
+    so equal to one ``np.cumsum`` of the symbols) and divides its own means,
+    so only the symbols are held whole.  Blocks are appended with
+    ``text +=``, which CPython grows in place (once the loop is specialized)
+    while nothing else refers to ``text``: never alias it.
     The CLI writes the ``str`` in slices and the tracer reads its length.
     """
     symbols, sums = path.symbols, [0]  # sums[-1] is the running total

@@ -219,10 +219,15 @@ def cover_points_reference(corners: np.ndarray, level: int) -> str:
 # -- scenery writer before block writing --------------------------------------------
 
 
+def prefix_sums(path) -> np.ndarray:
+    """The scenery's prefix sums S_n = omega_1 + ... + omega_n, one cumsum."""
+    return np.cumsum(path.symbols)
+
+
 def scenery_csv_reference(path) -> str:
     """``sample``'s CSV as the row-at-a-time writer built it: one f-string
     per row, the mean divided in Python floats."""
-    sums = path.prefix_sums
+    sums = prefix_sums(path)
     buf = io.StringIO()
     buf.write("n,omega_n,prefix_sum,prefix_mean\n")
     for i, (s, ps) in enumerate(zip(path.symbols, sums), start=1):

@@ -124,6 +124,17 @@ class TestDimensionsCommand:
         assert len(data) == pinned["bytes"]
         assert hashlib.sha256(data).hexdigest() == pinned["sha256"]
 
+    @pytest.mark.parametrize("tol", ["1e-20", "5e-324"])
+    def test_tol_below_the_float_spacing_returns(self, tol):
+        # bisection ends at adjacent floats, where the midpoint is one end
+        proc = subprocess.run([sys.executable, "-m", "rifs_lab.cli", "dimensions",
+                               TWO_IFS_CONFIG, "--tol", tol], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 0 and proc.stderr == "" and doc["tolerance"] == float(tol)
+        assert doc["bowen"] == pytest.approx(2 / 3, abs=1e-15)
+        assert doc["mauldin"] == pytest.approx(math.log2((1 + math.sqrt(5)) / 2), abs=1e-15)
+
 
 class TestCounterexampleCommand:
     def test_summary_demonstrates_gap(self, capsys, frame_family_path, tmp_path):
@@ -331,7 +342,8 @@ class TestCoverCommand:
         # d*B_0/0 is 0/0, so no exponent is printed for depth 0
         code, doc = run_json(capsys, "cover", "exponents", "--symbols", "1,2",
                              "--depths", depths)
-        assert code == 2 and doc["error"] == "--depths values must be >= 1"
+        assert code == 2 and doc["error"] == (
+            f"argument --depths: expects comma-separated int values >= 1, got {depths!r}")
 
     def test_exponent_csv(self, capsys):
         code, out = run(capsys, "cover", "exponents", "--symbols", "1,2",
@@ -521,6 +533,19 @@ class TestOutsideInput:
         # numerator, and the word count of a budget error
         ["cover", "enum", "--symbols", "1,4", "--d", "1", "--depth", "15000"],
         ["cover", "enum", "--symbols", "1,3", "--d", "1", "--depth", "28826"],
+        # usage errors: an ill-typed value, a missing argument or subcommand,
+        # an unknown flag or subcommand, a value out of its flag's bounds
+        ["cover", "enum", "--symbols", "1", "--depth", "x"],
+        ["sample", "--horizon", "1e3"],
+        ["counterexample", D1_CONFIG, "--pairs", "two"],
+        ["counterexample"],
+        ["cover"],
+        ["sample", "--bogus"],
+        ["bogus"],
+        ["counterexample", D1_CONFIG, "--seeds", "5:0"],
+        ["counterexample", D1_CONFIG, "--seeds", "-1:2"],
+        ["dimensions", TWO_IFS_CONFIG, "--tol", "1e-400"],
+        ["cover", "enum", "--symbols", "1", "--depth", "1", "--frame", "MALFORMED"],
     ], ids=["frame-validate-missing-file", "cover-missing-frame-file", "cover-d-zero",
             "exponents-negative-depth", "frame-gen-unwritable-out",
             "dimensions-unwritable-out", "counterexample-unwritable-out",
@@ -535,11 +560,16 @@ class TestOutsideInput:
             "string-probability", "string-eta", "nan-probability", "infinite-log2-ratio",
             "fractional-multiplicity", "boolean-multiplicity", "boolean-dimension",
             "boolean-frame-levels", "cover-enum-corner-past-print-range",
-            "cover-enum-word-count-past-print-range"])
+            "cover-enum-word-count-past-print-range",
+            "ill-typed-int", "float-for-int", "word-for-int", "missing-config",
+            "missing-subcommand", "unknown-flag", "unknown-command", "seeds-count-zero",
+            "seeds-negative-base", "tol-rounds-to-zero", "cover-malformed-frame-file"])
     def test_ends_in_error_document(self, capsys, tmp_path, argv):
         (tmp_path / "regular_file").write_text("")
+        (tmp_path / "malformed.json").write_text("{bad")
         paths = {
             "MISSING": str(tmp_path / "missing.json"),
+            "MALFORMED": str(tmp_path / "malformed.json"),
             # a path under a regular file can be neither created nor written
             "UNWRITABLE": str(tmp_path / "regular_file" / "out"),
         }
@@ -554,8 +584,32 @@ class TestOutsideInput:
             edit(doc)
             paths[name] = str(tmp_path / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(doc))
-        code, doc = run_json(capsys, *[paths.get(a, a) for a in argv])
-        assert code == 2 and "error" in doc
+        code = main([paths.get(a, a) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and "error" in json.loads(out) and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["frame", "validate"],
+        ["cover", "points", "--symbols", "1", "--depth", "1", "--frame"],
+    ])
+    def test_malformed_frame_file_is_named_so(self, capsys, tmp_path, argv):
+        path = tmp_path / "malformed.json"
+        path.write_text("{bad")
+        code, doc = run_json(capsys, *argv, str(path))
+        assert code == 2 and doc["error"].startswith("not valid JSON: ")
+
+    def test_usage_error_in_a_process(self):
+        proc = subprocess.run([sys.executable, "-m", "rifs_lab.cli", "sample", "--seed", "x"],
+                              env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout) == {
+            "schema": "rifs-lab/1", "error": "argument --seed: expects one int >= 0, got 'x'"}
+
+    def test_help_prints_usage_and_exits_0(self):
+        proc = subprocess.run([sys.executable, "-m", "rifs_lab.cli", "cover", "enum", "--help"],
+                              env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: rifs-lab cover enum")
 
 
 def _traced_peak(fn, *args):

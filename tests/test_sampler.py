@@ -23,6 +23,7 @@ from oracles import (
     inverse_square_cdf,
     pair_two_stall_probability,
     past_cap,
+    prefix_sums,
     record_pairs_reference,
     scenery_csv_reference,
 )
@@ -349,7 +350,7 @@ class TestDominationStart:
 
     def test_all_ones_boundary(self):
         path = SceneryPath(np.ones(64, dtype=np.int64))
-        assert (path.prefix_sums == np.arange(1, 65)).all()
+        assert (prefix_sums(path) == np.arange(1, 65)).all()
 
 
 class TestRecordSequences:
