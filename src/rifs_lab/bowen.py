@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .numerics import log_sum_exp2_values
-from .rifs import RIFSSpec, SpecValidationError, zeta_probability
+from .rifs import RIFSSpec, SpecValidationError
 
 _LN2 = math.log(2.0)
 
@@ -42,24 +42,19 @@ class MauldinDomainError(SpecValidationError):
 class DivergenceVerdict:
     """Classification of the expected log partition sum at one exponent.
 
-    ``partial_sum`` is the float image of the truncated series and saturates
-    to +-inf when terms leave machine range; the classification itself never
-    rests on it.  The divergent kinds are only ever produced with the
-    certified comparison bounds in hand.
+    A converging sum carries its ``value``.  A divergent kind carries its
+    certificate ``from_level``: the level from which every term has the
+    verdict's sign, bounded by a harmonic series from the frame axioms.
     """
 
-    kind: str  # "converges" | "diverges_plus" | "diverges_minus" | "inconclusive"
-    terms_used: int
-    partial_sum: float
+    kind: str  # "converges" | "diverges_plus" | "diverges_minus"
     value: float | None = None
+    from_level: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "terms_used": self.terms_used,
-            "partial_sum": _json_float(self.partial_sum),
-            "value": None if self.value is None else _json_float(self.value),
-        }
+        if self.kind == "converges":
+            return {"kind": self.kind, "value": _json_float(self.value)}
+        return {"kind": self.kind, "from_level": self.from_level}
 
 
 def _json_float(x: float) -> float | str:
@@ -107,43 +102,37 @@ def log_fitness(spec: RIFSSpec, i: int, t: float) -> float:
     return math.inf if sign > 0 else -math.inf if sign < 0 else 0.0
 
 
-def expected_log_fitness(spec: RIFSSpec, t: float, truncation: int = 50) -> DivergenceVerdict:
-    """Partial sum of p_i * log_fitness(i, t) with a certified classification.
+def expected_log_fitness(spec: RIFSSpec, t: float) -> DivergenceVerdict:
+    """Sum of p_i * log_fitness(i, t) with a certified classification.
 
     Finite-support systems converge to the exact weighted sum.  For the
     frame family with inverse-square probabilities the series diverges, and
-    the direction is certified by the axioms: when t >= d every term is at
-    most -d*U_k/k^2 <= -d/k (harmonic minorant to -inf); when t < d the
-    terms from M_t = ceil((1+t)/(d-t)) on are at least U_k/k^2 >= 1/k
-    (harmonic majorant to +inf) with a finite head.
+    the direction is certified by the axioms, with no term evaluated: when
+    t >= d every term is at most -d*U_k/k^2 <= -d/k (harmonic minorant to
+    -inf from level 1); when t < d the terms from M_t = ceil((1+t)/(d-t)) on
+    are at least U_k/k^2 >= 1/k (harmonic majorant to +inf) after a finite
+    head.  M_t is computed from t = p/q exactly, as ceil((q+p)/(d*q-p)).
     """
     if t < 0:
         raise ValueError("the exponent t must be >= 0")
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
 
     if spec.probabilities.is_finite:
-        support = spec.probabilities.support()
         total = 0.0
-        for i in support:
+        for i in spec.probabilities.support():
             total += spec.probabilities.probability(i) * log_fitness(spec, i, t)
-        return DivergenceVerdict(
-            kind="converges", terms_used=len(support), partial_sum=total, value=total
-        )
+        return DivergenceVerdict(kind="converges", value=total)
 
     if not spec.is_frame_family:
         raise SpecValidationError(
             "inverse-square probabilities require a frame family"
         )
-    partial = 0.0
-    for k in range(1, truncation + 1):
-        term = zeta_probability(k) * log_fitness(spec, k, t)
-        partial = term if math.isinf(term) else partial + term
-    kind = "diverges_minus" if t >= spec.d else "diverges_plus"
-    return DivergenceVerdict(kind=kind, terms_used=truncation, partial_sum=partial)
+    if t >= spec.d:
+        return DivergenceVerdict(kind="diverges_minus", from_level=1)
+    p, q = t.as_integer_ratio()
+    return DivergenceVerdict(kind="diverges_plus", from_level=-(-(q + p) // (spec.d * q - p)))
 
 
-def bowen_parameter(spec: RIFSSpec, tol: float = 1e-9, truncation: int = 50) -> float:
+def bowen_parameter(spec: RIFSSpec, tol: float = 1e-9) -> float:
     """Infimum of t >= 0 with expected log fitness <= 0.
 
     Finite systems: bracket by doubling, then bisect the strictly decreasing
@@ -158,7 +147,7 @@ def bowen_parameter(spec: RIFSSpec, tol: float = 1e-9, truncation: int = 50) -> 
         return float(spec.d)
 
     def expectation(t: float) -> float:
-        return expected_log_fitness(spec, t, truncation).value
+        return expected_log_fitness(spec, t).value
 
     return _bisect_root(expectation, tol, what="expected log fitness")
 

@@ -78,10 +78,19 @@ def _fail(message: str, detail: dict | None = None) -> int:
     return 2
 
 
+def _read(path: str) -> str:
+    """The text of a config or frame file, decoded as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecValidationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _read_frame(path: str) -> object:
     """The JSON document in a frame file."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise FrameError(f"not valid JSON: {exc}") from exc
 
@@ -121,13 +130,12 @@ def _frame_entries(frame: Frame) -> list[dict]:
 
 
 def cmd_dimensions(args: argparse.Namespace) -> int:
-    spec = load_spec(Path(args.config).read_text())
-    report: dict = {"tolerance": args.tol, "truncation": args.truncation,
-                    "bowen": bowen.bowen_parameter(spec, tol=args.tol, truncation=args.truncation)}
+    spec = load_spec(_read(args.config))
+    report: dict = {"tolerance": args.tol, "bowen": bowen.bowen_parameter(spec, tol=args.tol)}
     try:
         report["mauldin"] = bowen.mauldin_dimension(spec, tol=args.tol)
-    except (bowen.MauldinDomainError, bowen.UnboundedDimensionError):
-        report["mauldin"] = None
+    except (bowen.MauldinDomainError, bowen.UnboundedDimensionError) as exc:
+        report["mauldin"], report["mauldin_reason"] = None, str(exc)
     report["hypothesis"] = check_bowen_hypothesis(spec).to_dict()
 
     verdicts = []
@@ -136,8 +144,7 @@ def cmd_dimensions(args: argparse.Namespace) -> int:
     else:
         probes = [0.0, report["bowen"]]
     for t in probes:
-        verdict = bowen.expected_log_fitness(spec, t, truncation=args.truncation)
-        verdicts.append({"t": t, **verdict.to_dict()})
+        verdicts.append({"t": t, **bowen.expected_log_fitness(spec, t).to_dict()})
     report["verdicts"] = verdicts
     _emit(report, args.out)
     return 0
@@ -159,7 +166,7 @@ def _rows_to_csv(run: pressure.SeedRun) -> str:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    spec = load_spec(Path(args.config).read_text())
+    spec = load_spec(_read(args.config))
     if not spec.is_frame_family:
         raise SpecValidationError("the counterexample experiment needs a frame-family config")
     out_dir = Path(args.out) if args.out else None
@@ -271,7 +278,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.config:
-        probs = load_spec(Path(args.config).read_text()).probabilities
+        probs = load_spec(_read(args.config)).probabilities
     else:
         probs = ProbVector("inverse_square")
     path = sampler.sample_scenery(probs, args.horizon, args.seed)
@@ -351,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim = sub.add_parser("dimensions", help="Bowen and random-recursive dimensions")
     p_dim.add_argument("config", help="system config JSON")
     p_dim.add_argument("--tol", type=_bounded(float, 0, above=True), default=1e-9)
-    p_dim.add_argument("--truncation", type=positive, default=50)
     p_dim.add_argument("--out", type=Path)
 
     p_ce = sub.add_parser("counterexample",
@@ -390,6 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sam.add_argument("--horizon", type=positive, default=1000)
     p_sam.add_argument("--out", type=Path)
 
+    # a missing subcommand is named by its choices, as usage names it, not by its dest
+    for subs in (sub, frame_sub, cov_sub):
+        subs.metavar = "{" + ",".join(subs.choices) + "}"
     return parser
 
 

@@ -60,8 +60,8 @@ def test_criterion_2_counterexample_bowen_parameter():
     for depth in (5, 6):
         for d in (1, 2, 3):
             spec = validate_spec(frame_family_doc(levels=depth, d=d))
-            at_d = expected_log_fitness(spec, float(d), truncation=50)
-            below = expected_log_fitness(spec, 0.99 * d, truncation=50)
+            at_d = expected_log_fitness(spec, float(d))
+            below = expected_log_fitness(spec, 0.99 * d)
             assert at_d.kind == "diverges_minus", (depth, d)
             assert below.kind == "diverges_plus", (depth, d)
             assert bowen_parameter(spec) == float(d)

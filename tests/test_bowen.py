@@ -101,25 +101,13 @@ class TestExpectedLogFitness:
             assert verdict.value == pytest.approx((1 - 1.5 * t) * LN2, abs=1e-13)
 
     def test_frame_diverges_minus_at_d(self, frame_family_spec):
-        verdict = expected_log_fitness(frame_family_spec, 1.0, truncation=50)
+        verdict = expected_log_fitness(frame_family_spec, 1.0)
         assert verdict.kind == "diverges_minus"
-        assert verdict.terms_used == 50
-        assert verdict.partial_sum == -math.inf
+        assert verdict.to_dict() == {"kind": "diverges_minus", "from_level": 1}
 
     def test_frame_diverges_plus_below_d(self, frame_family_spec):
-        verdict = expected_log_fitness(frame_family_spec, 0.5, truncation=50)
+        verdict = expected_log_fitness(frame_family_spec, 0.5)
         assert verdict.kind == "diverges_plus"
-
-    def test_partial_sum_matches_direct_accumulation_small_m(self, frame_family_spec):
-        from rifs_lab.rifs import zeta_probability
-
-        t, M = 0.75, 5
-        direct = math.fsum(
-            zeta_probability(k) * log_fitness(frame_family_spec, k, t)
-            for k in range(1, M + 1)
-        )
-        verdict = expected_log_fitness(frame_family_spec, t, truncation=M)
-        assert verdict.partial_sum == pytest.approx(direct, rel=1e-13)
 
     def test_classifier_certificates_on_valid_frames(self):
         # any valid frame, d in {1,2,3}: minus at t=d, plus at t=0.99d
@@ -130,8 +118,39 @@ class TestExpectedLogFitness:
                     doc["family"]["frame"] = {"rule": "custom-slack", "levels": 5,
                                               "slack": list(slack)}
                 spec = validate_spec(doc)
-                assert expected_log_fitness(spec, float(d), 50).kind == "diverges_minus"
-                assert expected_log_fitness(spec, 0.99 * d, 50).kind == "diverges_plus"
+                assert expected_log_fitness(spec, float(d)).kind == "diverges_minus"
+                assert expected_log_fitness(spec, 0.99 * d).kind == "diverges_plus"
+
+    @pytest.mark.parametrize("t, d, level", [
+        (0.7777777777777778, 1, 9),  # float ceil((1+t)/(d-t)) gives 8
+        (5e-324, 1, 2),              # and 1 here
+        (0.99, 1, 199),
+        (1.98, 2, 149),
+        (0.0, 1, 1),
+        (1.0, 1, 1),
+        (2.0, 2, 1),
+        (7.5, 2, 1),
+    ])
+    def test_certificate_level_is_exact(self, t, d, level):
+        # M_t = ceil((1+t)/(d-t)) below d, from t's exact rational value;
+        # level 1 at t >= d
+        verdict = expected_log_fitness(frame_spec(minimal_frame(1), d), t)
+        assert verdict.from_level == level
+        assert verdict.kind == ("diverges_plus" if t < d else "diverges_minus")
+        if t < d:
+            assert level == math.ceil((1 + Fraction(t)) / (d - Fraction(t)))
+
+    def test_certificate_terms_have_the_verdict_sign(self):
+        # every term from the certified level on has the verdict's sign
+        for slack in ((1, 1), (2, 3)):
+            for d in (1, 2, 3):
+                spec = frame_spec(minimal_frame(1, slack=slack), d)
+                for t in (0.0, 5e-324, 0.25 * d, 0.7777777777777778 * d, 0.99 * d,
+                          float(d), 1.5 * d):
+                    verdict = expected_log_fitness(spec, t)
+                    sign = 1 if verdict.kind == "diverges_plus" else -1
+                    for k in range(verdict.from_level, verdict.from_level + 31):
+                        assert sign * log_fitness(spec, k, t) > 0, (slack, d, t, k)
 
 
 class TestBowenParameter:

@@ -21,6 +21,7 @@ from conftest import frame_family_doc, load_json, two_ifs_doc
 from oracles import brute_force_cubes, cover_enum_reference, cover_points_reference
 
 D1_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "counterexample_d1.json")
+D2_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "counterexample_d2.json")
 TWO_IFS_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "two_ifs.json")
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,9 +99,27 @@ class TestDimensionsCommand:
         assert doc["bowen"] == 1.0
         assert doc["mauldin"] is None
         assert not doc["hypothesis"]["holds"]
-        kinds = {v["t"]: v["kind"] for v in doc["verdicts"]}
-        assert kinds[1.0] == "diverges_minus"
-        assert kinds[0.99] == "diverges_plus"
+        assert doc["verdicts"] == [{"t": 1.0, "kind": "diverges_minus", "from_level": 1},
+                                   {"t": 0.99, "kind": "diverges_plus", "from_level": 199}]
+
+    @pytest.mark.parametrize("config", [TWO_IFS_CONFIG, D1_CONFIG, D2_CONFIG])
+    def test_no_field_is_saturated_or_constant(self, capsys, config):
+        # a verdict is a value or a certificate level, never a bare infinity,
+        # and a null carries its reason
+        code, out = run(capsys, "dimensions", config)
+        doc = json.loads(out)
+        assert code == 0 and '"inf"' not in out and '"-inf"' not in out
+        assert not {"truncation", "partial_sum", "terms_used"} & (
+            set(doc).union(*doc["verdicts"]))
+        for verdict in doc["verdicts"]:
+            key = "value" if verdict["kind"] == "converges" else "from_level"
+            assert set(verdict) == {"t", "kind", key}
+        if config == TWO_IFS_CONFIG:
+            assert doc["hypothesis"] == {"holds": True, "reasons": []}
+            assert "mauldin_reason" not in doc
+        else:
+            assert doc["mauldin"] is None
+            assert doc["mauldin_reason"].endswith("the series diverges below t = d")
 
     def test_invalid_config_nonzero(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
@@ -112,15 +131,16 @@ class TestDimensionsCommand:
 
     @pytest.mark.parametrize("name", list(load_json("dimensions_digests.json")))
     def test_output_matches_pinned_digest(self, capsys, tmp_path, name):
-        # no charged frame level of these inputs leaves float range, so no
-        # saturated log-fitness sign enters their bytes
+        # the inverse-square configs' verdicts are certificates that evaluate
+        # no term, and the finite ones charge no frame level past float
+        # range, so no saturated float enters these bytes
         pinned = load_json("dimensions_digests.json")[name]
         config = ROOT / pinned["config"] if "config" in pinned else tmp_path / "c.json"
         if "doc" in pinned:
             config.write_text(json.dumps(pinned["doc"]))
         code, out = run(capsys, "dimensions", str(config), *pinned["argv"])
         data = out.encode()
-        assert code == (2 if "--truncation" in pinned["argv"] else 0)
+        assert code == 0
         assert len(data) == pinned["bytes"]
         assert hashlib.sha256(data).hexdigest() == pinned["sha256"]
 
@@ -498,6 +518,23 @@ _MALFORMED_NUMBERS = {
 }
 
 
+# a config or frame file given to each command that reads one, holding
+# bytes that are not UTF-8
+_NOT_UTF8_ARGVS = [
+    ["dimensions", "NOT_UTF8"],
+    ["counterexample", "NOT_UTF8"],
+    ["sample", "NOT_UTF8"],
+    ["frame", "validate", "NOT_UTF8"],
+    ["cover", "enum", "--symbols", "1", "--depth", "1", "--frame", "NOT_UTF8"],
+]
+
+
+def _not_utf8(tmp_path) -> str:
+    path = tmp_path / "not_utf8.json"
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
 class TestOutsideInput:
     @pytest.mark.parametrize("argv", [
         ["frame", "validate", "MISSING"],
@@ -546,6 +583,7 @@ class TestOutsideInput:
         ["counterexample", D1_CONFIG, "--seeds", "-1:2"],
         ["dimensions", TWO_IFS_CONFIG, "--tol", "1e-400"],
         ["cover", "enum", "--symbols", "1", "--depth", "1", "--frame", "MALFORMED"],
+        *_NOT_UTF8_ARGVS,
     ], ids=["frame-validate-missing-file", "cover-missing-frame-file", "cover-d-zero",
             "exponents-negative-depth", "frame-gen-unwritable-out",
             "dimensions-unwritable-out", "counterexample-unwritable-out",
@@ -555,7 +593,7 @@ class TestOutsideInput:
             "counterexample-inverse-square-past-explicit-frame",
             "dimensions-level-two-past-explicit-frame",
             "counterexample-level-two-past-explicit-frame",
-            "dimensions-tol-zero", "dimensions-truncation-zero",
+            "dimensions-tol-zero", "dimensions-truncation-unknown-flag",
             "counterexample-t-grid-nan", "counterexample-t-grid-inf", "dimensions-tol-inf",
             "string-probability", "string-eta", "nan-probability", "infinite-log2-ratio",
             "fractional-multiplicity", "boolean-multiplicity", "boolean-dimension",
@@ -563,13 +601,15 @@ class TestOutsideInput:
             "cover-enum-word-count-past-print-range",
             "ill-typed-int", "float-for-int", "word-for-int", "missing-config",
             "missing-subcommand", "unknown-flag", "unknown-command", "seeds-count-zero",
-            "seeds-negative-base", "tol-rounds-to-zero", "cover-malformed-frame-file"])
+            "seeds-negative-base", "tol-rounds-to-zero", "cover-malformed-frame-file",
+            *(f"{argv[0]}-not-utf8" for argv in _NOT_UTF8_ARGVS)])
     def test_ends_in_error_document(self, capsys, tmp_path, argv):
         (tmp_path / "regular_file").write_text("")
         (tmp_path / "malformed.json").write_text("{bad")
         paths = {
             "MISSING": str(tmp_path / "missing.json"),
             "MALFORMED": str(tmp_path / "malformed.json"),
+            "NOT_UTF8": _not_utf8(tmp_path),
             # a path under a regular file can be neither created nor written
             "UNWRITABLE": str(tmp_path / "regular_file" / "out"),
         }
@@ -597,6 +637,28 @@ class TestOutsideInput:
         path.write_text("{bad")
         code, doc = run_json(capsys, *argv, str(path))
         assert code == 2 and doc["error"].startswith("not valid JSON: ")
+
+    @pytest.mark.parametrize("argv", _NOT_UTF8_ARGVS, ids=lambda argv: argv[0])
+    def test_non_utf8_file_is_named_so(self, capsys, tmp_path, argv):
+        path = _not_utf8(tmp_path)
+        code, doc = run_json(capsys, *[path if a == "NOT_UTF8" else a for a in argv])
+        assert code == 2
+        assert doc["error"] == f"{path}: not UTF-8 text (invalid start byte at byte 0)"
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: "
+             "{frame,dimensions,counterexample,cover,sample}"),
+        (["cover"], "the following arguments are required: {enum,exponents,points}"),
+        (["frame"], "the following arguments are required: {gen,validate}"),
+        (["dimensions", D1_CONFIG, "--truncation", "50"],
+         "unrecognized arguments: --truncation 50"),
+    ], ids=["no-command", "cover", "frame", "dimensions-truncation"])
+    def test_usage_error_message(self, capsys, argv, message):
+        # a missing subcommand is named by its choices, not the parser's dest
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"schema": "rifs-lab/1", "error": message}
 
     def test_usage_error_in_a_process(self):
         proc = subprocess.run([sys.executable, "-m", "rifs_lab.cli", "sample", "--seed", "x"],

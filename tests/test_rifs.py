@@ -178,7 +178,7 @@ class TestSerializationRoundTrip:
 class TestHypothesisCheck:
     def test_equal_counts_hold(self, two_ifs_spec):
         report = check_bowen_hypothesis(two_ifs_spec)
-        assert report.holds
+        assert report.holds and report.reasons == ()
 
     def test_counterexample_fails_with_counts_named(self, frame_family_spec):
         report = check_bowen_hypothesis(frame_family_spec)
