@@ -68,11 +68,11 @@ def log_fitness(spec: RIFSSpec, i: int, t: float) -> float:
     Frame level i: the closed form (-t*U_i + (d-t)*V_i) * ln 2, evaluated
     from the level's float data while it fits.  Past float range it
     saturates to +-inf, or is 0.0 when the value is exactly zero, and the
-    sign is that of (d*q - p)*V_i - p*U_i for t = p/q exactly: taken from a
-    generated rule's exact ratio V_i/U_i, or from the integers of an exact
-    explicit level.  An explicit level promoted past 4096 bits has neither,
-    and compares log2 magnitudes, which cannot resolve a factor such as n in
-    V_n = n*U_n past level ~33.
+    sign is that of (d*q - p)*V_i - p*U_i for t = p/q exactly, taken from a
+    generated rule's exact ratio V_i/U_i.  An explicit level has none, and
+    compares log2 magnitudes, which cannot resolve a factor such as n in
+    V_n = n*U_n past level ~33; :func:`_saturated_sum` sums its integers
+    exactly while they are exact.
     """
     if t < 0:
         raise ValueError("the exponent t must be >= 0")
@@ -91,8 +91,6 @@ def log_fitness(spec: RIFSSpec, i: int, t: float) -> float:
     ratio = spec.frame.ratio(i)
     if ratio is not None:
         sign = (d * q - p) * ratio - p
-    elif u.is_exact and v.is_exact:
-        sign = (d * q - p) * v.as_int() - p * u.as_int()
     elif t == 0.0:
         return math.inf
     else:
@@ -105,13 +103,15 @@ def log_fitness(spec: RIFSSpec, i: int, t: float) -> float:
 def expected_log_fitness(spec: RIFSSpec, t: float) -> DivergenceVerdict:
     """Sum of p_i * log_fitness(i, t) with a certified classification.
 
-    Finite-support systems converge to the exact weighted sum.  For the
-    frame family with inverse-square probabilities the series diverges, and
-    the direction is certified by the axioms, with no term evaluated: when
-    t >= d every term is at most -d*U_k/k^2 <= -d/k (harmonic minorant to
-    -inf from level 1); when t < d the terms from M_t = ceil((1+t)/(d-t)) on
-    are at least U_k/k^2 >= 1/k (harmonic majorant to +inf) after a finite
-    head.  M_t is computed from t = p/q exactly, as ceil((q+p)/(d*q-p)).
+    Finite-support systems converge to the weighted sum, or to the +-inf or
+    0.0 of :func:`_saturated_sum` when a charged frame level past float
+    range saturates a term.  For the frame family with inverse-square
+    probabilities the series diverges, and the direction is certified by
+    the axioms, with no term evaluated: when t >= d every term is at most
+    -d*U_k/k^2 <= -d/k (harmonic minorant to -inf from level 1); when t < d
+    the terms from M_t = ceil((1+t)/(d-t)) on are at least U_k/k^2 >= 1/k
+    (harmonic majorant to +inf) after a finite head.  M_t is computed from
+    t = p/q exactly, as ceil((q+p)/(d*q-p)).
     """
     if t < 0:
         raise ValueError("the exponent t must be >= 0")
@@ -120,6 +120,8 @@ def expected_log_fitness(spec: RIFSSpec, t: float) -> DivergenceVerdict:
         total = 0.0
         for i in spec.probabilities.support():
             total += spec.probabilities.probability(i) * log_fitness(spec, i, t)
+        if not math.isfinite(total):  # +inf and -inf terms must not be added
+            total = _saturated_sum(spec, t)
         return DivergenceVerdict(kind="converges", value=total)
 
     if not spec.is_frame_family:
@@ -132,42 +134,62 @@ def expected_log_fitness(spec: RIFSSpec, t: float) -> DivergenceVerdict:
     return DivergenceVerdict(kind="diverges_plus", from_level=-(-(q + p) // (spec.d * q - p)))
 
 
-def bowen_parameter(spec: RIFSSpec, tol: float = 1e-9) -> float:
+def _saturated_sum(spec: RIFSSpec, t: float) -> float:
+    """sum_i p_i*((d-t)*V_i - t*U_i) over the charged frame levels as +-inf
+    or 0.0, its sign decided without float addition.
+
+    The deepest charged log-form level whose term is nonzero decides: its
+    U >= 2**4096 >= (U+V)**3 of every level below outweighs p_i >= 2**-1074
+    and a coefficient (d-t)*V/U - t of at least 2**-1074, for d < 2**582.
+    Otherwise the exact levels (<= 4096 bits) decide, summed as the integer
+    q * 2**1074 times their sum, for t = p/q and floats p_i.
+    """
+    p, q = t.as_integer_ratio()
+    exact = 0
+    for i in reversed(spec.probabilities.support()):
+        level = spec.frame.entry(i)
+        if level.u.is_exact and level.v.is_exact:
+            a, b = spec.probabilities.probability(i).as_integer_ratio()
+            exact += (a << 1074) // b * (
+                (spec.d * q - p) * level.v.as_int() - p * level.u.as_int())
+        elif term := log_fitness(spec, i, t):  # +-inf, or 0.0 for a zero term
+            return term
+    return math.inf if exact > 0 else -math.inf if exact < 0 else 0.0
+
+
+def bowen_parameter(spec: RIFSSpec) -> float:
     """Infimum of t >= 0 with expected log fitness <= 0.
 
     Finite systems: bracket by doubling, then bisect the strictly decreasing
-    expectation to width ``tol``.  A frame family under inverse-square
+    expectation to adjacent floats.  A frame family under inverse-square
     probabilities needs no evaluation: the harmonic comparison of
     :func:`expected_log_fitness` certifies divergence to -inf at every
     t >= d and to +inf at every t < d, so the infimum is exactly d.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if spec.is_frame_family and not spec.probabilities.is_finite:
         return float(spec.d)
 
     def expectation(t: float) -> float:
         return expected_log_fitness(spec, t).value
 
-    return _bisect_root(expectation, tol, what="expected log fitness")
+    return _bisect_root(expectation, what="expected log fitness")
 
 
-def mauldin_dimension(spec: RIFSSpec, tol: float = 1e-9) -> float:
-    """Infimum of t >= 0 with sum_i p_i sum_j c_j^t <= 1 (finite systems).
+def mauldin_dimension(spec: RIFSSpec) -> float:
+    """Infimum of t >= 0 with sum_i p_i sum_j c_j^t <= 1 (explicit systems).
 
-    Frame families are rejected: below t = d the outer series diverges, so
-    no truncated evaluation can certify a value there, and that is exactly
-    where the infimum sits.  Inner sums are evaluated in log space and only
-    compared against 1 through their log, so large multiplicities cannot
-    overflow.
+    Frame families are rejected.  Under inverse-square probabilities the
+    outer series diverges below t = d, so no truncated evaluation can
+    certify a value there, and that is exactly where the infimum sits.
+    Inner sums are evaluated in log space and only compared against 1
+    through their log, so large multiplicities cannot overflow.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if spec.is_frame_family:
         raise MauldinDomainError(
+            "random-recursive dimension is computed for explicit families only"
+            if spec.probabilities.is_finite else
             "random-recursive dimension of a frame family is not computable "
-            "from truncated sums; the series diverges below t = d"
-        )
+            "from truncated sums; the series diverges below t = d")
 
     support = spec.probabilities.support()
 
@@ -179,15 +201,15 @@ def mauldin_dimension(spec: RIFSSpec, tol: float = 1e-9) -> float:
                 terms.append(lp + math.log2(agg.multiplicity) + t * agg.log2_ratio)
         return log_sum_exp2_values(terms)
 
-    return _bisect_root(log2_weighted_sum, tol, what="weighted ratio-power sum")
+    return _bisect_root(log2_weighted_sum, what="weighted ratio-power sum")
 
 
-def _bisect_root(decreasing: Callable[[float], float], tol: float, what: str) -> float:
-    """Smallest t with decreasing(t) <= 0, to width tol.
+def _bisect_root(decreasing: Callable[[float], float], what: str) -> float:
+    """Smallest float t with decreasing(t) <= 0.
 
     The callee is strictly decreasing in t; the bracket grows by doubling
-    from t = 1 with an overflow guard.  A ``tol`` below the float spacing
-    at the root stops at adjacent ends, where the midpoint is one of them.
+    from t = 1 with an overflow guard, and bisection runs until its ends
+    are adjacent floats, where the midpoint is one of them.
     """
     if decreasing(0.0) <= 0.0:
         return 0.0
@@ -197,12 +219,9 @@ def _bisect_root(decreasing: Callable[[float], float], tol: float, what: str) ->
         if hi > 2.0 ** 60:
             raise UnboundedDimensionError(f"{what} stayed positive up to t = {hi}")
     lo = 0.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if mid in (lo, hi):
-            break
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
         if decreasing(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2.0
+    return hi

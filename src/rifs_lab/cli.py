@@ -11,7 +11,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import stat
 import sys
@@ -131,9 +130,9 @@ def _frame_entries(frame: Frame) -> list[dict]:
 
 def cmd_dimensions(args: argparse.Namespace) -> int:
     spec = load_spec(_read(args.config))
-    report: dict = {"tolerance": args.tol, "bowen": bowen.bowen_parameter(spec, tol=args.tol)}
+    report: dict = {"bowen": bowen.bowen_parameter(spec)}
     try:
-        report["mauldin"] = bowen.mauldin_dimension(spec, tol=args.tol)
+        report["mauldin"] = bowen.mauldin_dimension(spec)
     except (bowen.MauldinDomainError, bowen.UnboundedDimensionError) as exc:
         report["mauldin"], report["mauldin_reason"] = None, str(exc)
     report["hypothesis"] = check_bowen_hypothesis(spec).to_dict()
@@ -181,7 +180,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     for seed in args.seeds:
         record: dict = {"seed": seed}
         try:
-            run = pressure.run_seed(spec, seed, args.horizon, args.pairs, args.t_grid)
+            run = pressure.run_seed(spec, seed, args.horizon, args.pairs)
         # a symbol past the sampler's cap or the frame's representable depth
         except (FrameError, sampler.RareTailError) as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"
@@ -216,7 +215,9 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         },
         "per_seed": per_seed,
         "horizon": args.horizon,
-        "t_grid": args.t_grid,
+        # the constant grid stays until the rifs-lab/2 schema, as for
+        # sample's domination_start
+        "t_grid": pressure.T_GRID,
     }
     _emit(summary, (out_dir / "summary.json") if out_dir is not None else None)
     if out_dir is not None:
@@ -301,19 +302,17 @@ class _Parser(argparse.ArgumentParser):
         raise SpecValidationError(message)
 
 
-def _bounded(kind: type, low: float, *, above: bool = False, many: bool = False):
-    """A flag ``type``: a finite ``kind`` at least ``low`` (above it when
-    ``above``), or with ``many`` a comma-separated list of them."""
-    name = "int" if kind is int else "finite float"
-    want = f"comma-separated {name} values" if many else f"one {name}"
-    want += f" {'>' if above else '>='} {low}"
+def _bounded(low: int, *, many: bool = False):
+    """A flag ``type``: an int at least ``low``, or with ``many`` a
+    comma-separated list of them."""
+    want = f"{'comma-separated int values' if many else 'one int'} >= {low}"
 
     def parse(text: str):
         try:
-            values = [kind(x) for x in text.split(",")] if many else [kind(text)]
+            values = [int(x) for x in text.split(",")] if many else [int(text)]
         except ValueError:
-            values = [math.nan]  # fails the check below
-        if not all(-math.inf < v < math.inf and (v > low if above else v >= low) for v in values):
+            values = [low - 1]  # fails the check below
+        if min(values) < low:
             raise argparse.ArgumentTypeError(f"expects {want}, got {text!r}")
         return values if many else values[0]
     return parse
@@ -342,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Random IFS lab: frames, dimension solvers, and the "
                     "dimension-drop experiment.",
     )
-    positive, positives = _bounded(int, 1), _bounded(int, 1, many=True)
+    positive, positives = _bounded(1), _bounded(1, many=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_frame = sub.add_parser("frame", help="generate or validate frames")
@@ -357,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dim = sub.add_parser("dimensions", help="Bowen and random-recursive dimensions")
     p_dim.add_argument("config", help="system config JSON")
-    p_dim.add_argument("--tol", type=_bounded(float, 0, above=True), default=1e-9)
     p_dim.add_argument("--out", type=Path)
 
     p_ce = sub.add_parser("counterexample",
@@ -368,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.add_argument("--horizon", type=positive, default=10_000)
     p_ce.add_argument("--pairs", type=positive, default=2,
                       help="record pairs (special times) per seed")
-    p_ce.add_argument("--t-grid", type=_bounded(float, 0, many=True), default="0,0.5,1")
     p_ce.add_argument("--out", help="directory for per-seed CSV + summary.json")
 
     p_cov = sub.add_parser("cover", help="cylinder covers of a fixed prefix")
@@ -392,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sam = sub.add_parser("sample", help="sample a scenery to CSV")
     p_sam.add_argument("config", nargs="?", help="optional config JSON for probabilities")
-    p_sam.add_argument("--seed", type=_bounded(int, 0), default=0)
+    p_sam.add_argument("--seed", type=_bounded(0), default=0)
     p_sam.add_argument("--horizon", type=positive, default=1000)
     p_sam.add_argument("--out", type=Path)
 

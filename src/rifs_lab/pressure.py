@@ -34,6 +34,10 @@ _LN2 = math.log(2.0)
 #: Slack added to the right-hand side when checking the per-time bound.
 BOUND_TOL = 1e-12
 
+#: Exponents at which :func:`run_seed` checks the bound; floats, so that
+#: each prints as ``0.0``, ``0.5`` and ``1.0``.
+T_GRID = (0.0, 0.5, 1.0)
+
 
 class CoverageError(ValueError):
     """A query beyond the profile's covered schedule."""
@@ -266,9 +270,9 @@ class SeedRun:
     estimate: float
 
 
-def run_seed(spec: RIFSSpec, seed: int, horizon: int, pairs: int,
-             t_grid: Sequence[float]) -> SeedRun:
-    """Sample one scenery and evaluate the subsequence bound along it.
+def run_seed(spec: RIFSSpec, seed: int, horizon: int, pairs: int) -> SeedRun:
+    """Sample one scenery and evaluate the subsequence bound along it at
+    every exponent of :data:`T_GRID`.
 
     The profile unrolls the scenery through the last record position,
     which is as far as any special time reads.  Raises
@@ -281,5 +285,5 @@ def run_seed(spec: RIFSSpec, seed: int, horizon: int, pairs: int,
     prefix_len = max((p.position for p in seqs.pairs), default=1)
     profile = build_branch_profile(path.head(prefix_len), spec.frame, spec.d)
     times = special_times(profile, seqs)
-    checks = tuple((st, t, subsequence_bound_check(st, t)) for st in times for t in t_grid)
+    checks = tuple((st, t, subsequence_bound_check(st, t)) for st in times for t in T_GRID)
     return SeedRun(seqs, profile, times, checks, dim_upper_estimate(times))

@@ -144,7 +144,6 @@ class RIFSSpec:
     systems: tuple[tuple[MapAggregate, ...], ...] = ()
     frame: Frame | None = None
     d: int = 0
-    eta: float = 0.0
 
     @property
     def is_frame_family(self) -> bool:
@@ -215,18 +214,6 @@ def _finite_number(value, what: str) -> float:
     return x
 
 
-def _eta(doc: dict, max_log2_ratio: float) -> float:
-    """The config's ``eta``; by default halfway between the largest ratio and
-    1, which strictly dominates every map."""
-    if "eta" in doc:
-        eta = _finite_number(doc["eta"], "eta")
-    else:
-        eta = (1.0 + 2.0 ** max_log2_ratio) / 2.0
-    if not 0.0 < eta < 1.0:
-        raise SpecValidationError(f"eta must lie in (0, 1), got {eta}")
-    return eta
-
-
 def validate_spec(doc: dict) -> RIFSSpec:
     """Build an :class:`RIFSSpec` from a config document, enforcing invariants.
 
@@ -235,8 +222,7 @@ def validate_spec(doc: dict) -> RIFSSpec:
         {"probabilities": {"kind": "finite", "values": [...]} | {"kind": "inverse_square"},
          "family": {"kind": "explicit", "ifs": [{"maps": [{"log2_ratio": r,
                                                            "multiplicity": m}, ...]}, ...]}
-                  | {"kind": "frame", "frame": <frame doc>, "d": k},
-         "eta": <optional float>}
+                  | {"kind": "frame", "frame": <frame doc>, "d": k}}
     """
     if not isinstance(doc, dict):
         raise SpecValidationError("config must be a JSON object")
@@ -300,13 +286,7 @@ def validate_spec(doc: dict) -> RIFSSpec:
             raise SpecValidationError(
                 "probability vector puts mass beyond the last system"
             )
-        max_ratio = max(a.log2_ratio for aggs in systems for a in aggs)
-        eta = _eta(doc, max_ratio)
-        if 2.0 ** max_ratio >= eta:
-            raise SpecValidationError(
-                f"eta = {eta} does not dominate the largest ratio 2^{max_ratio}"
-            )
-        return RIFSSpec(probabilities=probs, systems=tuple(systems), eta=eta)
+        return RIFSSpec(probabilities=probs, systems=tuple(systems))
 
     if fam_kind == "frame":
         if "frame" not in family_doc:
@@ -315,7 +295,6 @@ def validate_spec(doc: dict) -> RIFSSpec:
         d = family_doc.get("d")
         if type(d) is not int or d < 1:  # a bool is no dimension
             raise SpecValidationError("frame family needs an integer dimension d >= 1")
-        eta = _eta(doc, -(frame.entry(1).u.add(frame.entry(1).v).to_float()))
         if not frame.is_generated:
             if not probs.is_finite:
                 raise SpecValidationError(
@@ -327,7 +306,7 @@ def validate_spec(doc: dict) -> RIFSSpec:
                     f"probabilities charge level {max(probs.support())}, past the "
                     f"explicit frame's last level {len(frame)}"
                 )
-        return RIFSSpec(probabilities=probs, frame=frame, d=d, eta=eta)
+        return RIFSSpec(probabilities=probs, frame=frame, d=d)
 
     raise SpecValidationError(f"unknown family kind {fam_kind!r}")
 

@@ -48,8 +48,8 @@ def _report(criterion: str, started: float, limit: float) -> None:
 def test_criterion_1_bowen_root_finder_golden_values():
     started = time.perf_counter()
     spec = validate_spec(two_ifs_doc())
-    b = bowen_parameter(spec, tol=1e-9)
-    m = mauldin_dimension(spec, tol=1e-7)
+    b = bowen_parameter(spec)
+    m = mauldin_dimension(spec)
     assert b == pytest.approx(0.666666667, abs=1e-8)
     assert m == pytest.approx(0.694241914, abs=1e-6)
     _report("1 bowen-root-finder-golden", started, 1.0)
@@ -114,7 +114,7 @@ def test_criterion_5_subsequence_bound():
     times_checked = 0
     floors_checked = 0
     for seed in range(600, 700):
-        run = run_seed(spec, seed, 10_000, 3, (0.0, 0.5, 1.0))
+        run = run_seed(spec, seed, 10_000, 3)
         for st, t, chk in run.checks:
             # the budget recomputed from the time's raw fields
             jb_over_m = (0.0 if st.j_before.is_zero
@@ -140,7 +140,7 @@ def test_criterion_6_dimension_gap_at_desk_scale():
 
     estimates = {}
     for seed in range(600, 700):
-        run = run_seed(spec, seed, pinned["horizon"], pinned["pairs"], ())
+        run = run_seed(spec, seed, pinned["horizon"], pinned["pairs"])
         estimates[seed] = {
             "estimate": run.estimate,
             "exponents": [st.exponent for st in run.times],

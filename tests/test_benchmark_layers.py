@@ -43,7 +43,7 @@ def test_tracer_wraps_every_layer_and_reads_seeds(capsys):
     # sample_scenery
     assert [key for name, key, *_ in tracer.spans if name == "seed"] == [600, 601, 602]
     assert tracer.counts["pressure.special_times.calls"] == 3
-    # one bound check per special time and value of the default --t-grid
+    # one bound check per special time and value of pressure.T_GRID
     # (three), and one estimate per completed seed
     times = sum(r["pairs"] for r in completed)
     assert times >= 3

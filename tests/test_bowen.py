@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rifs_lab import (
+    Frame,
     MauldinDomainError,
     ProbVector,
     bowen_parameter,
@@ -32,6 +33,18 @@ def explicit(*pairs) -> RIFSSpec:
 
 def frame_spec(frame, d: int) -> RIFSSpec:
     return RIFSSpec(ProbVector("inverse_square"), frame=frame, d=d)
+
+
+def charged_levels(d: int = 1, integers: bool = False, **p_at_level: float) -> RIFSSpec:
+    """The minimal frame under finite probabilities ``p_at_level``, keyed
+    ``L<level>``; with ``integers`` as an explicit frame of its integer levels."""
+    levels = {int(k[1:]): p for k, p in p_at_level.items()}
+    values = [levels.get(n, 0.0) for n in range(1, max(levels) + 1)]
+    frame = minimal_frame(len(values))
+    if integers:
+        frame = Frame.explicit([(frame.entry(n).u.as_int(), frame.entry(n).v.as_int())
+                                for n in range(1, len(values) + 1)])
+    return RIFSSpec(ProbVector("finite", tuple(values)), frame=frame, d=d)
 
 
 class TestLogFitness:
@@ -155,7 +168,7 @@ class TestExpectedLogFitness:
 
 class TestBowenParameter:
     def test_golden_two_ifs(self, two_ifs_spec):
-        assert bowen_parameter(two_ifs_spec, tol=1e-10) == pytest.approx(
+        assert bowen_parameter(two_ifs_spec) == pytest.approx(
             BOWEN_GOLDEN, abs=1e-9
         )
 
@@ -165,12 +178,34 @@ class TestBowenParameter:
             "family": {"kind": "explicit",
                        "ifs": [{"maps": [{"log2_ratio": -1.0, "multiplicity": 2}]}]},
         }
-        assert bowen_parameter(validate_spec(doc), tol=1e-10) == pytest.approx(1.0, abs=1e-9)
+        assert bowen_parameter(validate_spec(doc)) == pytest.approx(1.0, abs=1e-9)
 
     def test_frame_family_returns_exactly_d(self):
         for d in (1, 2, 3):
             spec = validate_spec(frame_family_doc(levels=5, d=d))
             assert bowen_parameter(spec) == float(d)
+
+    @pytest.mark.parametrize("spec, root", [
+        (charged_levels(L60=0.5, L70=0.5), Fraction(70, 71)),
+        (charged_levels(L1=0.5, L60=0.5), Fraction(60, 61)),
+        (charged_levels(L7=0.5, L8=0.5), Fraction(8, 9)),
+        # level 7 (log2 U ~ 1371) charged with the least float does not
+        # outweigh level 6, so the exact sum decides
+        (charged_levels(L6=1.0, L7=5e-324), Fraction(6, 7)),
+        (charged_levels(L6=1.0, L7=5e-324, integers=True), Fraction(6, 7)),
+        (charged_levels(d=2, L2=0.25, L61=0.75), Fraction(2 * 61, 62)),
+    ], ids=["levels-60-70", "levels-1-60", "levels-7-8", "tiny-level-7", "explicit-tiny-level-7",
+         "d2-levels-2-61"])
+    def test_levels_past_float_range_keep_the_exact_root(self, spec, root):
+        # the deepest charged level decides the sign of the sum: below its
+        # root d*n/(n+1) its positive term outweighs every shallower one,
+        # which float addition of +inf and -inf turned into nan
+        b = bowen_parameter(spec)
+        assert abs(Fraction(b) - root) <= math.ulp(b)
+        for t in (0.0, b, math.nextafter(b, 0.0)):
+            assert not math.isnan(expected_log_fitness(spec, t).value)
+        assert expected_log_fitness(spec, math.nextafter(b, 0.0)).value > 0
+        assert expected_log_fitness(spec, b).value <= 0
 
     def test_monotone_expectation_grid(self, two_ifs_spec):
         values = [expected_log_fitness(two_ifs_spec, t / 50).value for t in range(100)]
@@ -179,7 +214,7 @@ class TestBowenParameter:
 
 class TestMauldinDimension:
     def test_golden_quadratic(self, two_ifs_spec):
-        assert mauldin_dimension(two_ifs_spec, tol=1e-9) == pytest.approx(
+        assert mauldin_dimension(two_ifs_spec) == pytest.approx(
             MAULDIN_GOLDEN, abs=1e-8
         )
 
@@ -192,8 +227,8 @@ class TestMauldinDimension:
             ]},
         }
         spec = validate_spec(doc)
-        b = bowen_parameter(spec, tol=1e-10)
-        m = mauldin_dimension(spec, tol=1e-10)
+        b = bowen_parameter(spec)
+        m = mauldin_dimension(spec)
         assert b == pytest.approx(1.0, abs=1e-9)
         assert m == pytest.approx(1.0, abs=1e-9)
         assert abs(b - m) <= 2e-9
@@ -211,6 +246,13 @@ class TestMauldinDimension:
         with pytest.raises(MauldinDomainError):
             mauldin_dimension(frame_family_spec)
 
+    def test_finite_probability_frame_reason_names_no_series(self):
+        # a finite weighted sum has no series to truncate
+        with pytest.raises(MauldinDomainError) as exc:
+            mauldin_dimension(charged_levels(L2=1.0))
+        reason = str(exc.value)
+        assert "series" not in reason and "truncat" not in reason
+
     def test_monotone_weighted_sum_grid(self, two_ifs_spec):
         # the linear-space sum p-weighted over systems is strictly decreasing
         def weighted(t):
@@ -227,11 +269,11 @@ class TestMauldinDimension:
                        "ifs": [{"maps": [{"log2_ratio": -24.0, "multiplicity": 65536}]}]},
         }
         spec = validate_spec(doc)
-        assert mauldin_dimension(spec, tol=1e-10) == pytest.approx(16.0 / 24.0, abs=1e-9)
+        assert mauldin_dimension(spec) == pytest.approx(16.0 / 24.0, abs=1e-9)
 
 
 class TestJensenGap:
     def test_bowen_strictly_below_mauldin(self, two_ifs_spec):
-        b = bowen_parameter(two_ifs_spec, tol=1e-10)
-        m = mauldin_dimension(two_ifs_spec, tol=1e-10)
+        b = bowen_parameter(two_ifs_spec)
+        m = mauldin_dimension(two_ifs_spec)
         assert b < m - 0.02

@@ -121,6 +121,20 @@ class TestDimensionsCommand:
             assert doc["mauldin"] is None
             assert doc["mauldin_reason"].endswith("the series diverges below t = d")
 
+    def test_levels_past_float_range_print_no_nan(self, capsys, tmp_path):
+        # levels 60 and 70 of the minimal frame both lie past float range;
+        # the deeper one decides, so the root is 70/71 and no verdict is nan
+        config = tmp_path / "levels_60_70.json"
+        doc = frame_family_doc()
+        values = [0.0] * 70
+        values[59] = values[69] = 0.5
+        doc["probabilities"] = {"kind": "finite", "values": values}
+        config.write_text(json.dumps(doc))
+        code, out = run(capsys, "dimensions", str(config))
+        bowen = json.loads(out)["bowen"]
+        assert code == 0 and "nan" not in out
+        assert abs(Fraction(bowen) - Fraction(70, 71)) <= math.ulp(bowen)
+
     def test_invalid_config_nonzero(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         doc = two_ifs_doc()
@@ -144,16 +158,14 @@ class TestDimensionsCommand:
         assert len(data) == pinned["bytes"]
         assert hashlib.sha256(data).hexdigest() == pinned["sha256"]
 
-    @pytest.mark.parametrize("tol", ["1e-20", "5e-324"])
-    def test_tol_below_the_float_spacing_returns(self, tol):
-        # bisection ends at adjacent floats, where the midpoint is one end
-        proc = subprocess.run([sys.executable, "-m", "rifs_lab.cli", "dimensions",
-                               TWO_IFS_CONFIG, "--tol", tol], env=_child_env(),
-                              capture_output=True, text=True, timeout=60)
-        doc = json.loads(proc.stdout)
-        assert proc.returncode == 0 and proc.stderr == "" and doc["tolerance"] == float(tol)
-        assert doc["bowen"] == pytest.approx(2 / 3, abs=1e-15)
-        assert doc["mauldin"] == pytest.approx(math.log2((1 + math.sqrt(5)) / 2), abs=1e-15)
+    def test_roots_are_bisected_to_adjacent_floats(self, capsys):
+        # no tolerance is set or reported: each root is the float at which
+        # bisection's ends meet
+        code, doc = run_json(capsys, "dimensions", TWO_IFS_CONFIG)
+        assert code == 0 and "tolerance" not in doc
+        bowen, mauldin = 2 / 3, math.log2((1 + math.sqrt(5)) / 2)
+        assert abs(doc["bowen"] - bowen) <= math.ulp(bowen)
+        assert abs(doc["mauldin"] - mauldin) <= math.ulp(mauldin)
 
 
 class TestCounterexampleCommand:
@@ -252,8 +264,9 @@ class TestCounterexampleCommand:
         assert len(calls) == completed
 
     @pytest.mark.parametrize("flag, value", [
-        ("--horizon", "0"), ("--pairs", "0"), ("--t-grid", "0,-1"), ("--seeds", "-1"),
-        ("--t-grid", "a"), ("--t-grid", ""),
+        ("--horizon", "0"), ("--pairs", "0"), ("--seeds", "-1"),
+        # the bound grid is a constant now, so these end as unknown flags
+        ("--t-grid", "0,-1"), ("--t-grid", "a"), ("--t-grid", ""),
     ])
     def test_out_of_range_arguments_rejected(self, capsys, flag, value):
         code, doc = run_json(capsys, "counterexample", D1_CONFIG, flag, value)
@@ -504,7 +517,6 @@ _PAST_EXPLICIT_FRAME = {
 # edits of a config that make one of its numbers malformed
 _MALFORMED_NUMBERS = {
     "STRING_PROBABILITY": lambda doc: doc["probabilities"].update(values=["a", 0.5]),
-    "STRING_ETA": lambda doc: doc.update(eta="x"),
     "NAN_PROBABILITY": lambda doc: doc["probabilities"].update(values=[1.0, math.nan]),
     "INFINITE_LOG2_RATIO": lambda doc: doc["family"]["ifs"][0]["maps"][0].update(
         log2_ratio=-math.inf),
@@ -553,13 +565,10 @@ class TestOutsideInput:
         ["counterexample", "INVERSE_SQUARE_ON_ONE_LEVEL", "--horizon", "100"],
         ["dimensions", "LEVEL_TWO_ON_ONE_LEVEL"],
         ["counterexample", "LEVEL_TWO_ON_ONE_LEVEL", "--horizon", "100"],
-        ["dimensions", D1_CONFIG, "--tol", "0"],
+        ["dimensions", D1_CONFIG, "--tol", "1e-9"],
         ["dimensions", D1_CONFIG, "--truncation", "0"],
-        ["counterexample", D1_CONFIG, "--seeds", "600", "--horizon", "100", "--t-grid", "nan"],
-        ["counterexample", D1_CONFIG, "--seeds", "600", "--horizon", "100", "--t-grid", "inf"],
-        ["dimensions", TWO_IFS_CONFIG, "--tol", "inf"],
+        ["counterexample", D1_CONFIG, "--seeds", "600", "--horizon", "100", "--t-grid", "0"],
         ["dimensions", "STRING_PROBABILITY"],
-        ["dimensions", "STRING_ETA"],
         ["dimensions", "NAN_PROBABILITY"],
         ["dimensions", "INFINITE_LOG2_RATIO"],
         ["dimensions", "FRACTIONAL_MULTIPLICITY"],
@@ -581,7 +590,6 @@ class TestOutsideInput:
         ["bogus"],
         ["counterexample", D1_CONFIG, "--seeds", "5:0"],
         ["counterexample", D1_CONFIG, "--seeds", "-1:2"],
-        ["dimensions", TWO_IFS_CONFIG, "--tol", "1e-400"],
         ["cover", "enum", "--symbols", "1", "--depth", "1", "--frame", "MALFORMED"],
         *_NOT_UTF8_ARGVS,
     ], ids=["frame-validate-missing-file", "cover-missing-frame-file", "cover-d-zero",
@@ -593,15 +601,15 @@ class TestOutsideInput:
             "counterexample-inverse-square-past-explicit-frame",
             "dimensions-level-two-past-explicit-frame",
             "counterexample-level-two-past-explicit-frame",
-            "dimensions-tol-zero", "dimensions-truncation-unknown-flag",
-            "counterexample-t-grid-nan", "counterexample-t-grid-inf", "dimensions-tol-inf",
-            "string-probability", "string-eta", "nan-probability", "infinite-log2-ratio",
+            "dimensions-tol-unknown-flag", "dimensions-truncation-unknown-flag",
+            "counterexample-t-grid-unknown-flag",
+            "string-probability", "nan-probability", "infinite-log2-ratio",
             "fractional-multiplicity", "boolean-multiplicity", "boolean-dimension",
             "boolean-frame-levels", "cover-enum-corner-past-print-range",
             "cover-enum-word-count-past-print-range",
             "ill-typed-int", "float-for-int", "word-for-int", "missing-config",
             "missing-subcommand", "unknown-flag", "unknown-command", "seeds-count-zero",
-            "seeds-negative-base", "tol-rounds-to-zero", "cover-malformed-frame-file",
+            "seeds-negative-base", "cover-malformed-frame-file",
             *(f"{argv[0]}-not-utf8" for argv in _NOT_UTF8_ARGVS)])
     def test_ends_in_error_document(self, capsys, tmp_path, argv):
         (tmp_path / "regular_file").write_text("")
@@ -652,7 +660,10 @@ class TestOutsideInput:
         (["frame"], "the following arguments are required: {gen,validate}"),
         (["dimensions", D1_CONFIG, "--truncation", "50"],
          "unrecognized arguments: --truncation 50"),
-    ], ids=["no-command", "cover", "frame", "dimensions-truncation"])
+        (["dimensions", D1_CONFIG, "--tol", "1e-9"], "unrecognized arguments: --tol 1e-9"),
+        (["counterexample", D1_CONFIG, "--t-grid", "0"], "unrecognized arguments: --t-grid 0"),
+    ], ids=["no-command", "cover", "frame", "dimensions-truncation", "dimensions-tol",
+            "counterexample-t-grid"])
     def test_usage_error_message(self, capsys, argv, message):
         # a missing subcommand is named by its choices, not the parser's dest
         code = main(argv)

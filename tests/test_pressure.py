@@ -159,7 +159,7 @@ class TestSpecialTimes:
 
     def test_times_strictly_increase(self, frame_family_spec):
         for seed in range(40):
-            run = run_seed(frame_family_spec, seed, 5000, 3, ())
+            run = run_seed(frame_family_spec, seed, 5000, 3)
             ms = [st.m for st in run.times]
             assert all(a < b for a, b in zip(ms, ms[1:]))
 
@@ -189,7 +189,7 @@ class TestSubsequenceBound:
     def test_holds_across_seeds_and_exponents(self, frame_family_spec):
         # quantified property: 100 seeds x all special times x 3 exponents
         for seed in range(600, 700):
-            run = run_seed(frame_family_spec, seed, 10_000, 3, (0.0, 0.5, 1.0))
+            run = run_seed(frame_family_spec, seed, 10_000, 3)
             assert len(run.checks) == 3 * len(run.times)
             for st, t, chk in run.checks:
                 assert chk.holds, (seed, st.n, t)
@@ -197,7 +197,7 @@ class TestSubsequenceBound:
     def test_branch_total_bounded_by_prefix_length(self, frame_family_spec):
         # at special times B_m counts a subset of the j_before steps
         for seed in range(40):
-            run = run_seed(frame_family_spec, seed, 5000, 2, ())
+            run = run_seed(frame_family_spec, seed, 5000, 2)
             for st in run.times:
                 bm = run.profile.runs[st.record_pos - 1].branch_start
                 assert bm <= st.j_before or st.j_before.is_zero
@@ -206,7 +206,7 @@ class TestSubsequenceBound:
         # records past the first: U_record / j_before >= V_{record-1} / 2
         checked = 0
         for seed in range(600, 700):
-            run = run_seed(frame_family_spec, seed, 10_000, 3, ())
+            run = run_seed(frame_family_spec, seed, 10_000, 3)
             for st in run.times:
                 if st.n >= 2:
                     assert ratio_floor_holds(run.profile, st, frame_family_spec.frame)
@@ -232,7 +232,7 @@ class TestSubsequenceBound:
     def test_zero_exponent_bound_via_branch_ratio(self, frame_family_spec):
         # (1/m) log-sum at t=0, normalized by d log 2, is at most 2/V_{record-1}
         for seed in range(600, 650):
-            run = run_seed(frame_family_spec, seed, 10_000, 2, ())
+            run = run_seed(frame_family_spec, seed, 10_000, 2)
             for st in run.times:
                 if st.n < 2:
                     continue
@@ -263,7 +263,7 @@ class TestDimUpperEstimate:
 
     def test_estimate_within_unit_interval(self, frame_family_spec):
         for seed in range(40):
-            assert 0.0 <= run_seed(frame_family_spec, seed, 5000, 2, ()).estimate <= 1.0
+            assert 0.0 <= run_seed(frame_family_spec, seed, 5000, 2).estimate <= 1.0
 
     def test_inconclusive_without_times(self, frame5):
         profile = build_branch_profile((1,), frame5, 1)

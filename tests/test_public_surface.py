@@ -1,16 +1,18 @@
 """The top-level API holds only names that the CLI or the README use, the
-CLI only flags that a command reads, and no output depends on the
-environment."""
+CLI only flags that a command reads, the library every spec field it holds,
+and no output depends on the environment."""
 
 import argparse
 import ast
 import inspect
 import re
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import rifs_lab
 from rifs_lab import cli
+from rifs_lab.rifs import RIFSSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -104,3 +106,11 @@ def test_sample_output_ignores_the_environment(capsys, monkeypatch):
     monkeypatch.setenv("RIFS_LAB_MAX_SYMBOL", "10")
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == plain
+
+
+def test_every_spec_field_is_read():
+    # a config value that only validation reads changes no output
+    text = "".join(p.read_text() for p in (ROOT / "src" / "rifs_lab").glob("*.py")
+                   if p.name != "rifs.py")
+    unread = [f.name for f in fields(RIFSSpec) if not re.search(rf"\.{f.name}\b", text)]
+    assert unread == []

@@ -17,6 +17,7 @@ from rifs_lab.frame import FrameDepthError
 from rifs_lab.rifs import (
     INVERSE_SQUARE_C,
     INVERSE_SQUARE_CDF,
+    MapAggregate,
     _count_label,
     validate_spec,
     zeta_probability,
@@ -114,9 +115,7 @@ class TestCounterexampleIFS:
 
 class TestValidateSpec:
     def test_golden_two_ifs(self, two_ifs_spec):
-        assert len(two_ifs_spec.systems) == 2
-        assert 0.0 < two_ifs_spec.eta < 1.0
-        assert 2.0 ** two_ifs_spec.systems[0][0].log2_ratio < two_ifs_spec.eta
+        assert two_ifs_spec.systems == ((MapAggregate(-1.0, 2),), (MapAggregate(-2.0, 2),))
 
     def test_probability_sum_error(self):
         doc = two_ifs_doc()
@@ -134,12 +133,6 @@ class TestValidateSpec:
         doc = two_ifs_doc()
         doc["family"]["ifs"][0]["maps"][0]["multiplicity"] = 1
         with pytest.raises(SpecValidationError, match="at least 2"):
-            validate_spec(doc)
-
-    def test_eta_must_dominate(self):
-        doc = two_ifs_doc()
-        doc["eta"] = 0.25
-        with pytest.raises(SpecValidationError, match="eta"):
             validate_spec(doc)
 
     def test_inverse_square_needs_frame_family(self):
