@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rifs_lab import (Frame, ProbVector, build_branch_profile, cli, cover, enumerate_cylinders,
-                      minimal_frame, pressure, sample_scenery, sampler, scenery_csv)
+from rifs_lab import (Frame, ProbVector, bowen, build_branch_profile, cli, cover,
+                      enumerate_cylinders, minimal_frame, pressure, sample_scenery, sampler,
+                      scenery_csv)
 from rifs_lab.cover import BLOCK
 from rifs_lab.cli import main
 
@@ -166,6 +167,14 @@ class TestDimensionsCommand:
         bowen, mauldin = 2 / 3, math.log2((1 + math.sqrt(5)) / 2)
         assert abs(doc["bowen"] - bowen) <= math.ulp(bowen)
         assert abs(doc["mauldin"] - mauldin) <= math.ulp(mauldin)
+
+    @pytest.mark.parametrize("tol", ["1e-20", "5e-324"])
+    def test_tol_below_the_float_spacing_returns(self, tol):
+        # these once were --tol values finer than the float spacing at the
+        # roots; bisection now always runs to adjacent floats, so it must
+        # also end, and exactly, at a root where the spacing is that small
+        root = float(tol)
+        assert bowen._bisect_root(lambda t: root - t, what="root - t") == root
 
 
 class TestCounterexampleCommand:
