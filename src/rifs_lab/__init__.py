@@ -8,8 +8,8 @@ The top-level names are those the ``rifs-lab`` CLI and the README use;
 everything else is imported from its own module.
 """
 
-from .bowen import (MauldinDomainError, UnboundedDimensionError, bowen_parameter,
-                    expected_log_fitness, mauldin_dimension)
+from .bowen import (UnboundedDimensionError, bowen_parameter, expected_log_fitness,
+                    mauldin_dimension)
 from .cover import BudgetError, box_exponents, emit_points, enumerate_cylinders, osc_check
 from .frame import Frame, FrameError, frame_from_doc, minimal_frame, validate_frame
 from .numerics import HybridNumber
@@ -25,7 +25,6 @@ __all__ = [
     "Frame",
     "FrameError",
     "HybridNumber",
-    "MauldinDomainError",
     "ProbVector",
     "RareTailError",
     "SpecValidationError",

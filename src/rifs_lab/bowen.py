@@ -7,11 +7,12 @@ Two candidate dimensions are computed for a system (p, Psi):
 * the random-recursive dimension, the infimum of t >= 0 with
   sum_i p_i * sum_j c_j^t <= 1.
 
-For finite systems both reduce to bisection on a strictly decreasing
-function of t.  For the frame family the expectation is a divergent series
-whose sign is certified by comparison with the harmonic series, term bounds
-that follow from the frame axioms alone, and the Bowen parameter equals the
-ambient dimension d exactly.
+Both read system i's log sum_j c_j^t from :func:`log_fitness`, and for
+finite systems reduce to bisection on a strictly decreasing function of t.
+For the frame family under inverse-square probabilities the frame axioms
+alone certify both infima as the ambient dimension d: the expectation is a
+divergent series of harmonic-bounded sign, and the weighted sum is below 1
+at d and above it below d.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .frame import FrameLevel
 from .numerics import log_sum_exp2_values
 from .rifs import RIFSSpec, SpecValidationError
 
@@ -34,17 +36,16 @@ class UnboundedDimensionError(RuntimeError):
     """The defining inequality failed at every probed exponent."""
 
 
-class MauldinDomainError(SpecValidationError):
-    """Random-recursive dimension requested outside its computable domain."""
-
-
 @dataclass(frozen=True)
 class DivergenceVerdict:
     """Classification of the expected log partition sum at one exponent.
 
-    A converging sum carries its ``value``.  A divergent kind carries its
-    certificate ``from_level``: the level from which every term has the
-    verdict's sign, bounded by a harmonic series from the frame axioms.
+    A converging sum carries its ``value``; when a charged frame level past
+    float range saturates a term it is +-inf or 0.0, and ``from_level``
+    names the level that decided it, printed with its ``sign`` instead.  A
+    divergent kind carries its certificate ``from_level``: the level from
+    which every term has the verdict's sign, bounded by a harmonic series
+    from the frame axioms.
     """
 
     kind: str  # "converges" | "diverges_plus" | "diverges_minus"
@@ -52,13 +53,15 @@ class DivergenceVerdict:
     from_level: int | None = None
 
     def to_dict(self) -> dict:
-        if self.kind == "converges":
-            return {"kind": self.kind, "value": _json_float(self.value)}
-        return {"kind": self.kind, "from_level": self.from_level}
+        if self.from_level is None:
+            return {"kind": self.kind, "value": self.value}
+        sign = {"sign": (self.value > 0) - (self.value < 0)} if self.kind == "converges" else {}
+        return {"kind": self.kind, **sign, "from_level": self.from_level}
 
 
-def _json_float(x: float) -> float | str:
-    return x if math.isfinite(x) else repr(x)
+def _exact_exponent(level: FrameLevel, d: int, p: int, q: int) -> int:
+    """q * ((d-t)*V - t*U) for t = p/q, exactly, from a level's integers."""
+    return (d * q - p) * level.v.as_int() - p * level.u.as_int()
 
 
 def log_fitness(spec: RIFSSpec, i: int, t: float) -> float:
@@ -68,11 +71,11 @@ def log_fitness(spec: RIFSSpec, i: int, t: float) -> float:
     Frame level i: the closed form (-t*U_i + (d-t)*V_i) * ln 2, evaluated
     from the level's float data while it fits.  Past float range it
     saturates to +-inf, or is 0.0 when the value is exactly zero, and the
-    sign is that of (d*q - p)*V_i - p*U_i for t = p/q exactly, taken from a
-    generated rule's exact ratio V_i/U_i.  An explicit level has none, and
-    compares log2 magnitudes, which cannot resolve a factor such as n in
-    V_n = n*U_n past level ~33; :func:`_saturated_sum` sums its integers
-    exactly while they are exact.
+    sign is that of (d*q - p)*V_i - p*U_i for t = p/q exactly: from the
+    integers of an exact level (:func:`_exact_exponent`), or from a
+    generated rule's exact ratio V_i/U_i.  A log-form explicit level has
+    neither, and compares log2 magnitudes, which cannot resolve a factor
+    such as n in V_n = n*U_n.
     """
     if t < 0:
         raise ValueError("the exponent t must be >= 0")
@@ -88,8 +91,9 @@ def log_fitness(spec: RIFSSpec, i: int, t: float) -> float:
     if t >= d:
         return -math.inf
     p, q = t.as_integer_ratio()
-    ratio = spec.frame.ratio(i)
-    if ratio is not None:
+    if u.is_exact and v.is_exact:
+        sign = _exact_exponent(level, d, p, q)
+    elif (ratio := spec.frame.ratio(i)) is not None:
         sign = (d * q - p) * ratio - p
     elif t == 0.0:
         return math.inf
@@ -104,14 +108,14 @@ def expected_log_fitness(spec: RIFSSpec, t: float) -> DivergenceVerdict:
     """Sum of p_i * log_fitness(i, t) with a certified classification.
 
     Finite-support systems converge to the weighted sum, or to the +-inf or
-    0.0 of :func:`_saturated_sum` when a charged frame level past float
-    range saturates a term.  For the frame family with inverse-square
-    probabilities the series diverges, and the direction is certified by
-    the axioms, with no term evaluated: when t >= d every term is at most
-    -d*U_k/k^2 <= -d/k (harmonic minorant to -inf from level 1); when t < d
-    the terms from M_t = ceil((1+t)/(d-t)) on are at least U_k/k^2 >= 1/k
-    (harmonic majorant to +inf) after a finite head.  M_t is computed from
-    t = p/q exactly, as ceil((q+p)/(d*q-p)).
+    0.0 and deciding level of :func:`_saturated_sum` when a charged frame
+    level past float range saturates a term.  For the frame family with
+    inverse-square probabilities the series diverges, and the direction is
+    certified by the axioms, with no term evaluated: when t >= d every term
+    is at most -d*U_k/k^2 <= -d/k (harmonic minorant to -inf from level 1);
+    when t < d the terms from M_t = ceil((1+t)/(d-t)) on are at least
+    U_k/k^2 >= 1/k (harmonic majorant to +inf) after a finite head.  M_t is
+    computed from t = p/q exactly, as ceil((q+p)/(d*q-p)).
     """
     if t < 0:
         raise ValueError("the exponent t must be >= 0")
@@ -120,9 +124,10 @@ def expected_log_fitness(spec: RIFSSpec, t: float) -> DivergenceVerdict:
         total = 0.0
         for i in spec.probabilities.support():
             total += spec.probabilities.probability(i) * log_fitness(spec, i, t)
-        if not math.isfinite(total):  # +inf and -inf terms must not be added
-            total = _saturated_sum(spec, t)
-        return DivergenceVerdict(kind="converges", value=total)
+        if math.isfinite(total):
+            return DivergenceVerdict(kind="converges", value=total)
+        # +inf and -inf terms must not be added
+        return DivergenceVerdict("converges", *_saturated_sum(spec, t))
 
     if not spec.is_frame_family:
         raise SpecValidationError(
@@ -134,27 +139,28 @@ def expected_log_fitness(spec: RIFSSpec, t: float) -> DivergenceVerdict:
     return DivergenceVerdict(kind="diverges_plus", from_level=-(-(q + p) // (spec.d * q - p)))
 
 
-def _saturated_sum(spec: RIFSSpec, t: float) -> float:
+def _saturated_sum(spec: RIFSSpec, t: float) -> tuple[float, int]:
     """sum_i p_i*((d-t)*V_i - t*U_i) over the charged frame levels as +-inf
-    or 0.0, its sign decided without float addition.
+    or 0.0, its sign decided without float addition, and the deciding level.
 
     The deepest charged log-form level whose term is nonzero decides: its
     U >= 2**4096 >= (U+V)**3 of every level below outweighs p_i >= 2**-1074
     and a coefficient (d-t)*V/U - t of at least 2**-1074, for d < 2**582.
-    Otherwise the exact levels (<= 4096 bits) decide, summed as the integer
-    q * 2**1074 times their sum, for t = p/q and floats p_i.
+    Otherwise the exact levels (<= 4096 bits) decide, the deepest named,
+    summed as the integer q * 2**1074 times their sum, for t = p/q and
+    floats p_i.
     """
     p, q = t.as_integer_ratio()
-    exact = 0
+    exact, deepest = 0, None
     for i in reversed(spec.probabilities.support()):
         level = spec.frame.entry(i)
         if level.u.is_exact and level.v.is_exact:
             a, b = spec.probabilities.probability(i).as_integer_ratio()
-            exact += (a << 1074) // b * (
-                (spec.d * q - p) * level.v.as_int() - p * level.u.as_int())
+            exact += (a << 1074) // b * _exact_exponent(level, spec.d, p, q)
+            deepest = deepest or i
         elif term := log_fitness(spec, i, t):  # +-inf, or 0.0 for a zero term
-            return term
-    return math.inf if exact > 0 else -math.inf if exact < 0 else 0.0
+            return term, i
+    return (math.inf if exact > 0 else -math.inf if exact < 0 else 0.0), deepest
 
 
 def bowen_parameter(spec: RIFSSpec) -> float:
@@ -169,37 +175,29 @@ def bowen_parameter(spec: RIFSSpec) -> float:
     if spec.is_frame_family and not spec.probabilities.is_finite:
         return float(spec.d)
 
-    def expectation(t: float) -> float:
-        return expected_log_fitness(spec, t).value
-
-    return _bisect_root(expectation, what="expected log fitness")
+    return _bisect_root(lambda t: expected_log_fitness(spec, t).value,
+                        what="expected log fitness")
 
 
 def mauldin_dimension(spec: RIFSSpec) -> float:
-    """Infimum of t >= 0 with sum_i p_i sum_j c_j^t <= 1 (explicit systems).
+    """Infimum of t >= 0 with S(t) = sum_i p_i * sum_j c_j^t <= 1.
 
-    Frame families are rejected.  Under inverse-square probabilities the
-    outer series diverges below t = d, so no truncated evaluation can
-    certify a value there, and that is exactly where the infimum sits.
-    Inner sums are evaluated in log space and only compared against 1
-    through their log, so large multiplicities cannot overflow.
+    Under inverse-square probabilities it is exactly d, with no evaluation:
+    S(t) = sum_i p_i * 2**((d-t)*V_i - t*U_i), so S(d) <= 2**-d < 1 as
+    U_i >= 1, and below d the term at M_t = ceil((1+t)/(d-t)) is at least
+    p_M * 2**U_M > 1 (2/C at M = 1).  That is the defining infimum only:
+    E[N] = sum_i p_i * 2**(d*V_i) is infinite for this family, so nothing is
+    claimed about a random-recursive construction on these data.
+    Otherwise bisect log2 S(t), one log-sum of log2 p_i + log_fitness(i, t)
+    / ln 2 over the support for explicit systems and frame levels alike.
     """
-    if spec.is_frame_family:
-        raise MauldinDomainError(
-            "random-recursive dimension is computed for explicit families only"
-            if spec.probabilities.is_finite else
-            "random-recursive dimension of a frame family is not computable "
-            "from truncated sums; the series diverges below t = d")
-
-    support = spec.probabilities.support()
+    if spec.is_frame_family and not spec.probabilities.is_finite:
+        return float(spec.d)
+    prob, support = spec.probabilities.probability, spec.probabilities.support()
 
     def log2_weighted_sum(t: float) -> float:
-        terms = []
-        for i in support:
-            lp = math.log2(spec.probabilities.probability(i))
-            for agg in spec.systems[i - 1]:
-                terms.append(lp + math.log2(agg.multiplicity) + t * agg.log2_ratio)
-        return log_sum_exp2_values(terms)
+        return log_sum_exp2_values(
+            math.log2(prob(i)) + log_fitness(spec, i, t) / _LN2 for i in support)
 
     return _bisect_root(log2_weighted_sum, what="weighted ratio-power sum")
 

@@ -130,22 +130,13 @@ def _frame_entries(frame: Frame) -> list[dict]:
 
 def cmd_dimensions(args: argparse.Namespace) -> int:
     spec = load_spec(_read(args.config))
-    report: dict = {"bowen": bowen.bowen_parameter(spec)}
-    try:
-        report["mauldin"] = bowen.mauldin_dimension(spec)
-    except (bowen.MauldinDomainError, bowen.UnboundedDimensionError) as exc:
-        report["mauldin"], report["mauldin_reason"] = None, str(exc)
-    report["hypothesis"] = check_bowen_hypothesis(spec).to_dict()
-
-    verdicts = []
-    if spec.is_frame_family and not spec.probabilities.is_finite:
-        probes = [float(spec.d), 0.99 * spec.d]
-    else:
-        probes = [0.0, report["bowen"]]
-    for t in probes:
-        verdicts.append({"t": t, **bowen.expected_log_fitness(spec, t).to_dict()})
-    report["verdicts"] = verdicts
-    _emit(report, args.out)
+    root = bowen.bowen_parameter(spec)
+    probes = ([float(spec.d), 0.99 * spec.d]
+              if spec.is_frame_family and not spec.probabilities.is_finite else [0.0, root])
+    _emit({"bowen": root, "mauldin": bowen.mauldin_dimension(spec),
+           "hypothesis": check_bowen_hypothesis(spec).to_dict(),
+           "verdicts": [{"t": t, **bowen.expected_log_fitness(spec, t).to_dict()}
+                        for t in probes]}, args.out)
     return 0
 
 

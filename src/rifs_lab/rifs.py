@@ -214,10 +214,16 @@ def _finite_number(value, what: str) -> float:
     return x
 
 
+def _known_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
+    """Reject a key of ``doc`` outside ``keys``, which nothing would read."""
+    if unknown := sorted(set(doc) - set(keys)):
+        raise SpecValidationError(f"{where} has unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def validate_spec(doc: dict) -> RIFSSpec:
     """Build an :class:`RIFSSpec` from a config document, enforcing invariants.
 
-    Expected shape::
+    Expected shape, with no other key at the top level or in either section::
 
         {"probabilities": {"kind": "finite", "values": [...]} | {"kind": "inverse_square"},
          "family": {"kind": "explicit", "ifs": [{"maps": [{"log2_ratio": r,
@@ -226,6 +232,7 @@ def validate_spec(doc: dict) -> RIFSSpec:
     """
     if not isinstance(doc, dict):
         raise SpecValidationError("config must be a JSON object")
+    _known_keys(doc, ("probabilities", "family"), "config")
     try:
         prob_doc = doc["probabilities"]
         family_doc = doc["family"]
@@ -241,12 +248,14 @@ def validate_spec(doc: dict) -> RIFSSpec:
         probs = ProbVector("finite", tuple(_finite_number(v, "a probability") for v in values))
     else:
         probs = ProbVector(str(prob_doc["kind"]))
+    _known_keys(prob_doc, ("kind", "values") if probs.is_finite else ("kind",), "'probabilities'")
 
     if not isinstance(family_doc, dict) or "kind" not in family_doc:
         raise SpecValidationError("'family' needs a 'kind'")
     fam_kind = family_doc["kind"]
 
     if fam_kind == "explicit":
+        _known_keys(family_doc, ("kind", "ifs"), "'family'")
         raw_ifs = family_doc.get("ifs")
         if not isinstance(raw_ifs, list) or not raw_ifs:
             raise SpecValidationError("explicit family needs a nonempty 'ifs' list")
@@ -289,6 +298,7 @@ def validate_spec(doc: dict) -> RIFSSpec:
         return RIFSSpec(probabilities=probs, systems=tuple(systems))
 
     if fam_kind == "frame":
+        _known_keys(family_doc, ("kind", "frame", "d"), "'family'")
         if "frame" not in family_doc:
             raise SpecValidationError("frame family needs a 'frame' document")
         frame = frame_from_doc(family_doc["frame"])

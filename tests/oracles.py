@@ -1,8 +1,8 @@
 """Independent reference computations used to freeze expected values.
 
 Everything here deliberately avoids the library's numeric machinery: plain
-integers, fractions, and float log arithmetic only, so that a test comparing
-the two catches bugs on either side rather than sharing them.
+integers, fractions, float log arithmetic and mpmath only, so that a test
+comparing the two catches bugs on either side rather than sharing them.
 """
 
 from __future__ import annotations
@@ -11,8 +11,10 @@ import io
 import itertools
 import json
 import math
+import struct
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 _LOG2 = math.log2
@@ -74,6 +76,77 @@ def minimal_frame_log2(levels: int) -> list[tuple[float, float]]:
         out.append((lu, lv))
         lu = 3.0 * _log2_sum(lu, lv)
     return out
+
+
+
+def minimal_frame_terms(p_at_level: dict[int, float]) -> list[tuple[float, int | None, Fraction]]:
+    """(p_n, U_n, V_n/U_n = n) for the minimal frame's charged levels: U_n as
+    an integer through level 7, and None from level 8 on, where
+    U_8 = (8*U_7)**3 has 4121 bits."""
+    pairs = minimal_frame_pairs(7)
+    return [(p, pairs[n - 1][0] if n <= 7 else None, Fraction(n))
+            for n, p in sorted(p_at_level.items())]
+
+
+def _float_at(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _mauldin_sum_above_one(d: int, levels, t: float) -> bool:
+    """Is sum_i p_i * 2**x_i > 1 at t, where x_i = U_i*((d-t)*r_i - t)?"""
+    t = Fraction(t)
+    negligible, moderate = 0, []
+    for p, u, r in levels:
+        c = (d - t) * r - t
+        if u is None and c != 0:
+            # |x_i| > 2**4096 * |c| >= 2**4096 / (2**1074 * denominator(r))
+            if c > 0:
+                return True
+            negligible += 1
+            continue
+        x = 0 if u is None else u * c
+        if x > 1100:  # p_i >= 2**-1074
+            return True
+        if x < -(1 << 16):
+            negligible += 1
+        else:
+            moderate.append((Fraction(p), Fraction(x)))
+    with mpmath.workprec(256):
+        total = mpmath.fsum(
+            mpmath.mpf(p.numerator) / p.denominator
+            * mpmath.power(2, mpmath.mpf(x.numerator) / x.denominator)
+            for p, x in moderate)
+        if abs(total - 1) > mpmath.mpf(2) ** -200:
+            return total > 1
+    assert all(x.denominator == 1 for _, x in moderate), f"undecided at t = {float(t)!r}"
+    total = sum(p * Fraction(2) ** int(x) for p, x in moderate)
+    return total > 1 or (total == 1 and negligible > 0)
+
+
+def mauldin_root_reference(d: int, levels) -> float:
+    """Smallest float t >= 0 with sum_i p_i * 2**((d-t)*V_i - t*U_i) <= 1.
+
+    ``levels`` holds (p_i, U_i, r_i) per charged frame level: r_i = V_i/U_i
+    as a Fraction, and U_i an integer, or None for a level known only to
+    lie past 2**4096.  At each probed t each exponent is decided from
+    integers: exactly as a Fraction for an integer U_i, and by the sign of
+    (d-t)*r_i - t, with a magnitude past 2**3000, otherwise.  An exponent
+    past 1100 alone makes the sum exceed 1; one below -2**16 adds less than
+    2**-65536; mpmath sums the rest at 256 bits, and an exact sum of powers
+    of two settles a tie.  The search bisects the bit patterns of the
+    nonnegative floats, which sort as the floats do.
+    """
+    if not _mauldin_sum_above_one(d, levels, 0.0):
+        return 0.0
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 2.0 ** 61))[0]
+    assert not _mauldin_sum_above_one(d, levels, _float_at(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _mauldin_sum_above_one(d, levels, _float_at(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return _float_at(hi)
 
 
 def _log2_sum(a: float, b: float) -> float:

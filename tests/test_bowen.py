@@ -5,7 +5,6 @@ import pytest
 
 from rifs_lab import (
     Frame,
-    MauldinDomainError,
     ProbVector,
     bowen_parameter,
     expected_log_fitness,
@@ -16,7 +15,8 @@ from rifs_lab.bowen import log_fitness
 from rifs_lab.frame import FrameDepthError
 from rifs_lab.rifs import MapAggregate, RIFSSpec, validate_spec
 
-from conftest import frame_family_doc
+from conftest import frame_family_doc, load_json
+from oracles import mauldin_root_reference, minimal_frame_terms
 
 LN2 = math.log(2.0)
 
@@ -242,16 +242,47 @@ class TestMauldinDimension:
         spec = validate_spec(doc)
         assert mauldin_dimension(spec) == pytest.approx(1.0, abs=1e-8)
 
-    def test_frame_family_rejected(self, frame_family_spec):
-        with pytest.raises(MauldinDomainError):
-            mauldin_dimension(frame_family_spec)
+    def test_frame_family_is_exactly_d(self):
+        # inverse-square probabilities: S(d) <= 2^-d < 1, and below d the
+        # term at M_t alone exceeds 1, so the infimum is d, as for Bowen
+        for slack in (None, (2, 3)):
+            for d in (1, 2, 3):
+                spec = RIFSSpec(ProbVector("inverse_square"),
+                                frame=minimal_frame(1, slack=slack), d=d)
+                assert mauldin_dimension(spec) == bowen_parameter(spec) == float(d)
 
-    def test_finite_probability_frame_reason_names_no_series(self):
-        # a finite weighted sum has no series to truncate
-        with pytest.raises(MauldinDomainError) as exc:
-            mauldin_dimension(charged_levels(L2=1.0))
-        reason = str(exc.value)
-        assert "series" not in reason and "truncat" not in reason
+    def test_finite_probability_frame_family_is_bisected(self):
+        # level 2 alone at d = 1: S(t) = 2^(16 - 24t), root 2/3, so the
+        # bisection ends at the least float not below 2/3
+        m = mauldin_dimension(charged_levels(L2=1.0))
+        assert Fraction(math.nextafter(m, 0.0)) < Fraction(2, 3) <= Fraction(m)
+
+    @pytest.mark.parametrize("spec, d, terms, root", [
+        (validate_spec(load_json("dimensions_digests.json")["explicit-frame-levels-1-3"]["doc"]),
+         2, [(0.5, 1, Fraction(1)), (0.5, 13824, Fraction(3))], None),
+        (charged_levels(L2=1.0), 1, minimal_frame_terms({2: 1.0}), Fraction(2, 3)),
+        (charged_levels(L1=0.5, L60=0.5), 1, minimal_frame_terms({1: 0.5, 60: 0.5}),
+         Fraction(60, 61)),
+        (charged_levels(L60=0.5, L70=0.5), 1, minimal_frame_terms({60: 0.5, 70: 0.5}),
+         Fraction(70, 71)),
+    ], ids=["explicit-frame-levels-1-3", "minimal-frame-level-2", "levels-1-60",
+         "levels-60-70"])
+    def test_finite_frame_roots_match_the_exact_reference(self, spec, d, terms, root):
+        m = mauldin_dimension(spec)
+        assert abs(m - mauldin_root_reference(d, terms)) <= math.ulp(m)
+        if root is not None:
+            assert abs(Fraction(m) - root) <= math.ulp(m)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("integers", [True, False], ids=["explicit", "generated"])
+    @pytest.mark.parametrize("p_at_level", [{"L1": 0.5, "L7": 0.5}, {"L7": 1.0}],
+                             ids=["levels-1-7", "level-7"])
+    def test_exact_level_past_float_range_gives_the_exact_root(self, d, integers, p_at_level):
+        # level 7 (U_7 ~ 2^1370) is an exact integer: its exponent
+        # (d-t)*7*U_7 - t*U_7 is zero at t = 7d/8, a float, and its sign is
+        # decided from integers, not from float log2 magnitudes
+        spec = charged_levels(d=d, integers=integers, **p_at_level)
+        assert bowen_parameter(spec) == mauldin_dimension(spec) == 7 * d / 8
 
     def test_monotone_weighted_sum_grid(self, two_ifs_spec):
         # the linear-space sum p-weighted over systems is strictly decreasing
@@ -270,6 +301,25 @@ class TestMauldinDimension:
         }
         spec = validate_spec(doc)
         assert mauldin_dimension(spec) == pytest.approx(16.0 / 24.0, abs=1e-9)
+
+
+class TestSaturatedVerdict:
+    @pytest.mark.parametrize("spec, level", [
+        (charged_levels(L1=0.5, L60=0.5), 60),
+        (charged_levels(L60=0.5, L70=0.5), 70),
+        (charged_levels(L1=0.5, L7=0.5, integers=True), 7),
+        (charged_levels(L6=1.0, L7=5e-324, integers=True), 7),
+    ], ids=["levels-1-60", "levels-60-70", "explicit-levels-1-7", "explicit-tiny-level-7"])
+    def test_names_the_deciding_level_instead_of_an_infinity(self, spec, level):
+        # the deepest log-form level with a nonzero term decides, or else
+        # the exact integer sum, named by its deepest level
+        b = bowen_parameter(spec)
+        for t in (0.0, math.nextafter(b, 0.0)):
+            assert expected_log_fitness(spec, t).to_dict() == {
+                "kind": "converges", "sign": 1, "from_level": level}
+        # at the root the sum is decided the same way, or is a finite value
+        at_root = expected_log_fitness(spec, b).to_dict()
+        assert at_root.get("sign", -1) == -1 and -math.inf < at_root.get("value", 0.0) <= 0.0
 
 
 class TestJensenGap:

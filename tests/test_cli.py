@@ -19,12 +19,30 @@ from rifs_lab.cover import BLOCK
 from rifs_lab.cli import main
 
 from conftest import frame_family_doc, load_json, two_ifs_doc
-from oracles import brute_force_cubes, cover_enum_reference, cover_points_reference
+from oracles import (brute_force_cubes, cover_enum_reference, cover_points_reference,
+                     minimal_frame_pairs)
 
 D1_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "counterexample_d1.json")
 D2_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "counterexample_d2.json")
 TWO_IFS_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "two_ifs.json")
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _charged_frame_doc(p_at_level: dict[int, float], frame) -> dict:
+    """A d = 1 frame config whose finite probabilities charge ``p_at_level``."""
+    values = [p_at_level.get(n, 0.0) for n in range(1, max(p_at_level) + 1)]
+    return {"probabilities": {"kind": "finite", "values": values},
+            "family": {"kind": "frame", "frame": frame, "d": 1}}
+
+
+# frame configs that charge a level past float range: the minimal frame's
+# log-form level 60, and the exact level 7 of the minimal frame written out
+# as an explicit 7-level frame
+_PAST_FLOAT_RANGE = {
+    "LEVELS_1_60": _charged_frame_doc({1: 0.5, 60: 0.5}, {"rule": "minimal", "levels": 1}),
+    "EXPLICIT_LEVELS_1_7": _charged_frame_doc(
+        {1: 0.5, 7: 0.5}, [[str(u), str(v)] for u, v in minimal_frame_pairs(7)]),
+}
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -98,29 +116,52 @@ class TestDimensionsCommand:
         code, doc = run_json(capsys, "dimensions", frame_family_path)
         assert code == 0
         assert doc["bowen"] == 1.0
-        assert doc["mauldin"] is None
+        assert doc["mauldin"] == 1.0
         assert not doc["hypothesis"]["holds"]
         assert doc["verdicts"] == [{"t": 1.0, "kind": "diverges_minus", "from_level": 1},
                                    {"t": 0.99, "kind": "diverges_plus", "from_level": 199}]
 
-    @pytest.mark.parametrize("config", [TWO_IFS_CONFIG, D1_CONFIG, D2_CONFIG])
-    def test_no_field_is_saturated_or_constant(self, capsys, config):
-        # a verdict is a value or a certificate level, never a bare infinity,
-        # and a null carries its reason
+    @pytest.mark.parametrize("config", [TWO_IFS_CONFIG, D1_CONFIG, D2_CONFIG,
+                                        *_PAST_FLOAT_RANGE])
+    def test_no_field_is_saturated_or_constant(self, capsys, tmp_path, config):
+        # a verdict is a value, a decided sign with its level, or a
+        # certificate level, never a bare infinity; both roots are numbers
+        if config in _PAST_FLOAT_RANGE:
+            (tmp_path / "c.json").write_text(json.dumps(_PAST_FLOAT_RANGE[config]))
+            config = str(tmp_path / "c.json")
         code, out = run(capsys, "dimensions", config)
         doc = json.loads(out)
-        assert code == 0 and '"inf"' not in out and '"-inf"' not in out
-        assert not {"truncation", "partial_sum", "terms_used"} & (
-            set(doc).union(*doc["verdicts"]))
+        assert code == 0
+        for token in ('"inf"', '"-inf"', "Infinity", "NaN", "null"):
+            assert token not in out
+        assert set(doc) == {"schema", "bowen", "mauldin", "hypothesis", "verdicts"}
+        assert type(doc["bowen"]) is type(doc["mauldin"]) is float
         for verdict in doc["verdicts"]:
-            key = "value" if verdict["kind"] == "converges" else "from_level"
-            assert set(verdict) == {"t", "kind", key}
+            keys = {"from_level"} if verdict["kind"] != "converges" else (
+                {"value"} if "value" in verdict else {"sign", "from_level"})
+            assert set(verdict) == {"t", "kind", *keys}
         if config == TWO_IFS_CONFIG:
             assert doc["hypothesis"] == {"holds": True, "reasons": []}
-            assert "mauldin_reason" not in doc
-        else:
-            assert doc["mauldin"] is None
-            assert doc["mauldin_reason"].endswith("the series diverges below t = d")
+
+    @pytest.mark.parametrize("config, d", [(D1_CONFIG, 1.0), (D2_CONFIG, 2.0)])
+    def test_inverse_square_roots_are_both_d(self, capsys, config, d):
+        # S(d) <= 2^-d < 1 and the term at M_t exceeds 1 below d: the
+        # random-recursive infimum is d, as the Bowen parameter is
+        code, doc = run_json(capsys, "dimensions", config)
+        assert code == 0 and doc["bowen"] == doc["mauldin"] == d
+
+    def test_mauldin_root_past_the_bracket_ends_in_error_document(self, capsys, tmp_path):
+        # the Bowen root is 71, but S(t) = 2^-t + 2^(69 - 1e-17 t) stays
+        # above 1 until t ~ 6.9e18, past the 2^60 bracket cap
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "probabilities": {"kind": "finite", "values": [0.5, 0.5]},
+            "family": {"kind": "explicit", "ifs": [
+                {"maps": [{"log2_ratio": -1.0, "multiplicity": 2}]},
+                {"maps": [{"log2_ratio": -1e-17, "multiplicity": 2 ** 70}]}]}}))
+        code, doc = run_json(capsys, "dimensions", str(config))
+        assert code == 2
+        assert doc["error"].startswith("weighted ratio-power sum stayed positive up to t = ")
 
     def test_levels_past_float_range_print_no_nan(self, capsys, tmp_path):
         # levels 60 and 70 of the minimal frame both lie past float range;
@@ -132,9 +173,10 @@ class TestDimensionsCommand:
         doc["probabilities"] = {"kind": "finite", "values": values}
         config.write_text(json.dumps(doc))
         code, out = run(capsys, "dimensions", str(config))
-        bowen = json.loads(out)["bowen"]
+        bowen, mauldin = json.loads(out)["bowen"], json.loads(out)["mauldin"]
         assert code == 0 and "nan" not in out
         assert abs(Fraction(bowen) - Fraction(70, 71)) <= math.ulp(bowen)
+        assert mauldin == bowen
 
     def test_invalid_config_nonzero(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
@@ -146,9 +188,9 @@ class TestDimensionsCommand:
 
     @pytest.mark.parametrize("name", list(load_json("dimensions_digests.json")))
     def test_output_matches_pinned_digest(self, capsys, tmp_path, name):
-        # the inverse-square configs' verdicts are certificates that evaluate
-        # no term, and the finite ones charge no frame level past float
-        # range, so no saturated float enters these bytes
+        # the inverse-square configs' roots and verdicts are certificates
+        # that evaluate no term, and the finite ones charge no frame level
+        # past float range, so no saturated float enters these bytes
         pinned = load_json("dimensions_digests.json")[name]
         config = ROOT / pinned["config"] if "config" in pinned else tmp_path / "c.json"
         if "doc" in pinned:
@@ -523,8 +565,8 @@ _PAST_EXPLICIT_FRAME = {
     "LEVEL_TWO_ON_ONE_LEVEL": {"kind": "finite", "values": [0.0, 1.0]},
 }
 
-# edits of a config that make one of its numbers malformed
-_MALFORMED_NUMBERS = {
+# edits of a config that make one of its numbers, or its keys, malformed
+_MALFORMED_CONFIGS = {
     "STRING_PROBABILITY": lambda doc: doc["probabilities"].update(values=["a", 0.5]),
     "NAN_PROBABILITY": lambda doc: doc["probabilities"].update(values=[1.0, math.nan]),
     "INFINITE_LOG2_RATIO": lambda doc: doc["family"]["ifs"][0]["maps"][0].update(
@@ -536,6 +578,8 @@ _MALFORMED_NUMBERS = {
         {"log2_ratio": -1.0, "multiplicity": True}, {"log2_ratio": -1.0, "multiplicity": 1}]),
     "BOOLEAN_DIMENSION": lambda doc: doc.update(frame_family_doc(d=True)),
     "BOOLEAN_FRAME_LEVELS": lambda doc: doc.update(frame_family_doc(levels=True)),
+    # a misspelt key, and a key no version reads, beside the right ones
+    "UNKNOWN_KEYS": lambda doc: doc.update(etaa=0.3, probabilites={"kind": "inverse_square"}),
 }
 
 
@@ -584,6 +628,7 @@ class TestOutsideInput:
         ["dimensions", "BOOLEAN_MULTIPLICITY"],
         ["dimensions", "BOOLEAN_DIMENSION"],
         ["dimensions", "BOOLEAN_FRAME_LEVELS"],
+        ["dimensions", "UNKNOWN_KEYS"],
         # numbers past CPython's 4300-digit int printing limit: a corner
         # numerator, and the word count of a budget error
         ["cover", "enum", "--symbols", "1,4", "--d", "1", "--depth", "15000"],
@@ -614,7 +659,7 @@ class TestOutsideInput:
             "counterexample-t-grid-unknown-flag",
             "string-probability", "nan-probability", "infinite-log2-ratio",
             "fractional-multiplicity", "boolean-multiplicity", "boolean-dimension",
-            "boolean-frame-levels", "cover-enum-corner-past-print-range",
+            "boolean-frame-levels", "unknown-keys", "cover-enum-corner-past-print-range",
             "cover-enum-word-count-past-print-range",
             "ill-typed-int", "float-for-int", "word-for-int", "missing-config",
             "missing-subcommand", "unknown-flag", "unknown-command", "seeds-count-zero",
@@ -636,7 +681,7 @@ class TestOutsideInput:
                 "probabilities": probabilities,
                 "family": {"kind": "frame", "frame": [["1", "1"]], "d": 1},
             }))
-        for name, edit in _MALFORMED_NUMBERS.items():
+        for name, edit in _MALFORMED_CONFIGS.items():
             doc = two_ifs_doc()
             edit(doc)
             paths[name] = str(tmp_path / f"{name}.json")

@@ -156,6 +156,24 @@ class TestValidateSpec:
         with pytest.raises(SpecValidationError, match="past the explicit frame's last level 1"):
             validate_spec(doc)
 
+    @pytest.mark.parametrize("doc, section, extra, message", [
+        (two_ifs_doc(), None, {"etaa": 0.3, "probabilites": {"kind": "inverse_square"}},
+         "config has unknown key(s) 'etaa', 'probabilites'"),
+        (two_ifs_doc(), "probabilities", {"etaa": 0.3},
+         "'probabilities' has unknown key(s) 'etaa'"),
+        # values are read only under finite probabilities
+        (frame_family_doc(), "probabilities", {"values": [1.0]},
+         "'probabilities' has unknown key(s) 'values'"),
+        (two_ifs_doc(), "family", {"etaa": 0.3}, "'family' has unknown key(s) 'etaa'"),
+        (frame_family_doc(), "family", {"etaa": 0.3}, "'family' has unknown key(s) 'etaa'"),
+    ], ids=["top-level", "finite-probabilities", "inverse-square", "explicit-family",
+            "frame-family"])
+    def test_unknown_key_is_named(self, doc, section, extra, message):
+        (doc if section is None else doc[section]).update(extra)
+        with pytest.raises(SpecValidationError) as exc:
+            validate_spec(doc)
+        assert str(exc.value) == message
+
     def test_frame_family(self, frame_family_spec):
         assert frame_family_spec.is_frame_family
         assert frame_family_spec.d == 1
