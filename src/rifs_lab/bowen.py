@@ -71,11 +71,8 @@ def log_fitness(spec: RIFSSpec, i: int, t: float) -> float:
     Frame level i: the closed form (-t*U_i + (d-t)*V_i) * ln 2, evaluated
     from the level's float data while it fits.  Past float range it
     saturates to +-inf, or is 0.0 when the value is exactly zero, and the
-    sign is that of (d*q - p)*V_i - p*U_i for t = p/q exactly: from the
-    integers of an exact level (:func:`_exact_exponent`), or from a
-    generated rule's exact ratio V_i/U_i.  A log-form explicit level has
-    neither, and compares log2 magnitudes, which cannot resolve a factor
-    such as n in V_n = n*U_n.
+    sign is that of (d*q - p)*V_i - p*U_i for t = p/q exactly, from the
+    frame's exact ratio V_i/U_i (:meth:`Frame.ratio`).
     """
     if t < 0:
         raise ValueError("the exponent t must be >= 0")
@@ -91,16 +88,8 @@ def log_fitness(spec: RIFSSpec, i: int, t: float) -> float:
     if t >= d:
         return -math.inf
     p, q = t.as_integer_ratio()
-    if u.is_exact and v.is_exact:
-        sign = _exact_exponent(level, d, p, q)
-    elif (ratio := spec.frame.ratio(i)) is not None:
-        sign = (d * q - p) * ratio - p
-    elif t == 0.0:
-        return math.inf
-    else:
-        pos = math.log2(d - t) + v.log2
-        neg = math.log2(t) + u.log2
-        return math.inf if pos >= neg else -math.inf
+    v, u = spec.frame.ratio(i)
+    sign = (d * q - p) * v - p * u
     return math.inf if sign > 0 else -math.inf if sign < 0 else 0.0
 
 

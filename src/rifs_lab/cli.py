@@ -108,9 +108,9 @@ def cmd_frame(args: argparse.Namespace) -> int:
         frame_from_doc(doc)
         _emit({"valid": True, "rule": doc.get("rule")})
         return 0
-    report = validate_frame(frame_pairs(doc))
-    _emit(report.to_dict())
-    return 0 if report.valid else 1
+    violations = validate_frame(frame_pairs(doc))
+    _emit({"valid": not violations, "violations": violations})
+    return 1 if violations else 0
 
 
 def _frame_entries(frame: Frame) -> list[dict]:
@@ -134,7 +134,7 @@ def cmd_dimensions(args: argparse.Namespace) -> int:
     probes = ([float(spec.d), 0.99 * spec.d]
               if spec.is_frame_family and not spec.probabilities.is_finite else [0.0, root])
     _emit({"bowen": root, "mauldin": bowen.mauldin_dimension(spec),
-           "hypothesis": check_bowen_hypothesis(spec).to_dict(),
+           "hypothesis": check_bowen_hypothesis(spec),
            "verdicts": [{"t": t, **bowen.expected_log_fitness(spec, t).to_dict()}
                         for t in probes]}, args.out)
     return 0

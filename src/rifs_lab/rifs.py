@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import Frame, frame_from_doc
+from .frame import Frame, frame_from_doc, known_keys
 
 #: Basel constant, the normalizer of the inverse-square probability vector.
 INVERSE_SQUARE_C = math.pi ** 2 / 6
@@ -150,19 +150,9 @@ class RIFSSpec:
         return self.frame is not None
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of the shared-alphabet check behind the dimension formula."""
-
-    holds: bool
-    reasons: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {"holds": self.holds, "reasons": list(self.reasons)}
-
-
-def check_bowen_hypothesis(spec: RIFSSpec) -> HypothesisReport:
-    """Do all systems carrying positive probability share one index set?
+def check_bowen_hypothesis(spec: RIFSSpec) -> dict:
+    """Whether all systems carrying positive probability share one index set,
+    as the document ``{"holds": not reasons, "reasons": [...]}``.
 
     With aggregate storage the checkable proxy is an equal total map count
     under a consistent indexing.  Frame levels never share one: the axioms
@@ -187,7 +177,7 @@ def check_bowen_hypothesis(spec: RIFSSpec) -> HypothesisReport:
                 "map counts differ across positive-probability systems: "
                 + ", ".join(f"#{i}: {c}" for i, c in counts.items())
             )
-    return HypothesisReport(holds=not reasons, reasons=tuple(reasons))
+    return {"holds": not reasons, "reasons": reasons}
 
 
 def _count_label(spec: RIFSSpec, i: int) -> str:
@@ -214,12 +204,6 @@ def _finite_number(value, what: str) -> float:
     return x
 
 
-def _known_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
-    """Reject a key of ``doc`` outside ``keys``, which nothing would read."""
-    if unknown := sorted(set(doc) - set(keys)):
-        raise SpecValidationError(f"{where} has unknown key(s) {', '.join(map(repr, unknown))}")
-
-
 def validate_spec(doc: dict) -> RIFSSpec:
     """Build an :class:`RIFSSpec` from a config document, enforcing invariants.
 
@@ -232,7 +216,7 @@ def validate_spec(doc: dict) -> RIFSSpec:
     """
     if not isinstance(doc, dict):
         raise SpecValidationError("config must be a JSON object")
-    _known_keys(doc, ("probabilities", "family"), "config")
+    known_keys(doc, ("probabilities", "family"), "config", SpecValidationError)
     try:
         prob_doc = doc["probabilities"]
         family_doc = doc["family"]
@@ -248,14 +232,15 @@ def validate_spec(doc: dict) -> RIFSSpec:
         probs = ProbVector("finite", tuple(_finite_number(v, "a probability") for v in values))
     else:
         probs = ProbVector(str(prob_doc["kind"]))
-    _known_keys(prob_doc, ("kind", "values") if probs.is_finite else ("kind",), "'probabilities'")
+    known_keys(prob_doc, ("kind", "values") if probs.is_finite else ("kind",),
+               "'probabilities'", SpecValidationError)
 
     if not isinstance(family_doc, dict) or "kind" not in family_doc:
         raise SpecValidationError("'family' needs a 'kind'")
     fam_kind = family_doc["kind"]
 
     if fam_kind == "explicit":
-        _known_keys(family_doc, ("kind", "ifs"), "'family'")
+        known_keys(family_doc, ("kind", "ifs"), "'family'", SpecValidationError)
         raw_ifs = family_doc.get("ifs")
         if not isinstance(raw_ifs, list) or not raw_ifs:
             raise SpecValidationError("explicit family needs a nonempty 'ifs' list")
@@ -298,14 +283,14 @@ def validate_spec(doc: dict) -> RIFSSpec:
         return RIFSSpec(probabilities=probs, systems=tuple(systems))
 
     if fam_kind == "frame":
-        _known_keys(family_doc, ("kind", "frame", "d"), "'family'")
+        known_keys(family_doc, ("kind", "frame", "d"), "'family'", SpecValidationError)
         if "frame" not in family_doc:
             raise SpecValidationError("frame family needs a 'frame' document")
         frame = frame_from_doc(family_doc["frame"])
         d = family_doc.get("d")
         if type(d) is not int or d < 1:  # a bool is no dimension
             raise SpecValidationError("frame family needs an integer dimension d >= 1")
-        if not frame.is_generated:
+        if frame.slack is None:  # an explicit frame
             if not probs.is_finite:
                 raise SpecValidationError(
                     "inverse-square probabilities charge every level, past the "

@@ -3,8 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rifs_lab import Frame, HybridNumber, ProbVector, minimal_frame
-from rifs_lab.frame import FrameLevel
+from rifs_lab import Frame, ProbVector, minimal_frame
 from rifs_lab.rifs import validate_spec
 
 DATA = Path(__file__).parent / "data"
@@ -47,8 +46,7 @@ def frame5():
 def pseudo_frame():
     """Levels (1, 1), (2, 2), (3, 3): small enough for enumeration oracles,
     so they break the growth axiom, which only :meth:`Frame.explicit` checks."""
-    return Frame([FrameLevel(HybridNumber.from_int(u), HybridNumber.from_int(v))
-                  for u, v in ((1, 1), (2, 2), (3, 3))])
+    return Frame([(1, 1), (2, 2), (3, 3)])
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -12,11 +13,11 @@ from rifs_lab import (
     minimal_frame,
 )
 from rifs_lab.bowen import log_fitness
-from rifs_lab.frame import FrameDepthError
+from rifs_lab.frame import FrameDepthError, frame_from_doc
 from rifs_lab.rifs import MapAggregate, RIFSSpec, validate_spec
 
 from conftest import frame_family_doc, load_json
-from oracles import mauldin_root_reference, minimal_frame_terms
+from oracles import mauldin_root_reference, minimal_frame_pairs, minimal_frame_terms
 
 LN2 = math.log(2.0)
 
@@ -40,10 +41,8 @@ def charged_levels(d: int = 1, integers: bool = False, **p_at_level: float) -> R
     ``L<level>``; with ``integers`` as an explicit frame of its integer levels."""
     levels = {int(k[1:]): p for k, p in p_at_level.items()}
     values = [levels.get(n, 0.0) for n in range(1, max(levels) + 1)]
-    frame = minimal_frame(len(values))
-    if integers:
-        frame = Frame.explicit([(frame.entry(n).u.as_int(), frame.entry(n).v.as_int())
-                                for n in range(1, len(values) + 1)])
+    frame = (Frame.explicit(minimal_frame_pairs(len(values))) if integers
+             else minimal_frame(len(values)))
     return RIFSSpec(ProbVector("finite", tuple(values)), frame=frame, d=d)
 
 
@@ -301,6 +300,28 @@ class TestMauldinDimension:
         }
         spec = validate_spec(doc)
         assert mauldin_dimension(spec) == pytest.approx(16.0 / 24.0, abs=1e-9)
+
+
+class TestExplicitFramePastExactRange:
+    """The minimal frame written out as an explicit 8-level frame: U_8 has
+    4121 bits, so level 8's entries hold only their log2 magnitudes."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_roots_equal_the_generated_frame(self, d):
+        # the sign of (d-t)*V_8 - t*U_8 comes from the kept integers; from
+        # float log2 magnitudes both roots read 521 ulps high at d = 1
+        explicit = charged_levels(d=d, integers=True, L1=0.5, L8=0.5)
+        generated = charged_levels(d=d, L1=0.5, L8=0.5)
+        assert not explicit.frame.entry(8).u.is_exact
+        b = bowen_parameter(generated)
+        assert abs(Fraction(b) - Fraction(8 * d, 9)) <= math.ulp(b)
+        assert bowen_parameter(explicit) == b
+        assert mauldin_dimension(explicit) == mauldin_dimension(generated)
+
+    def test_round_trips_through_its_document(self):
+        pairs = minimal_frame_pairs(8)
+        doc = json.loads(json.dumps(Frame.explicit(pairs).to_doc()))
+        assert frame_from_doc(doc).pairs == tuple(pairs)
 
 
 class TestSaturatedVerdict:

@@ -103,6 +103,21 @@ class TestFrameCommand:
         assert code == 2
         assert doc["error"] == "level 1: expected a [U, V] pair"
 
+    @pytest.mark.parametrize("frame, keys", [
+        ({"rule": "minimal", "levels": 5, "slack": [2, 3], "levles": 9}, "'levles', 'slack'"),
+        ({"rule": "custom-slack", "levels": 5, "slack": [2, 3], "d": 1}, "'d'"),
+    ], ids=["minimal-rule", "custom-slack-rule"])
+    def test_shorthand_key_is_named(self, capsys, tmp_path, frame, keys):
+        # a key the rule does not read is an input error, in a frame file
+        # and in a config alike, not a silently dropped slack
+        config = frame_family_doc()
+        config["family"]["frame"] = frame
+        (tmp_path / "frame.json").write_text(json.dumps(frame))
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        for argv in (["frame", "validate", "frame.json"], ["dimensions", "config.json"]):
+            code, doc = run_json(capsys, *argv[:-1], str(tmp_path / argv[-1]))
+            assert (code, doc["error"]) == (2, f"frame shorthand has unknown key(s) {keys}")
+
 
 class TestDimensionsCommand:
     def test_two_ifs_golden(self, capsys, two_ifs_path):
@@ -580,6 +595,9 @@ _MALFORMED_CONFIGS = {
     "BOOLEAN_FRAME_LEVELS": lambda doc: doc.update(frame_family_doc(levels=True)),
     # a misspelt key, and a key no version reads, beside the right ones
     "UNKNOWN_KEYS": lambda doc: doc.update(etaa=0.3, probabilites={"kind": "inverse_square"}),
+    # a misspelt key, and a slack the minimal rule would drop, in a frame shorthand
+    "UNKNOWN_FRAME_KEYS": lambda doc: doc.update(family={"kind": "frame", "d": 1, "frame": {
+        "rule": "minimal", "levels": 5, "slack": [2, 3], "levles": 9}}),
 }
 
 
@@ -629,6 +647,7 @@ class TestOutsideInput:
         ["dimensions", "BOOLEAN_DIMENSION"],
         ["dimensions", "BOOLEAN_FRAME_LEVELS"],
         ["dimensions", "UNKNOWN_KEYS"],
+        ["dimensions", "UNKNOWN_FRAME_KEYS"],
         # numbers past CPython's 4300-digit int printing limit: a corner
         # numerator, and the word count of a budget error
         ["cover", "enum", "--symbols", "1,4", "--d", "1", "--depth", "15000"],
@@ -659,7 +678,8 @@ class TestOutsideInput:
             "counterexample-t-grid-unknown-flag",
             "string-probability", "nan-probability", "infinite-log2-ratio",
             "fractional-multiplicity", "boolean-multiplicity", "boolean-dimension",
-            "boolean-frame-levels", "unknown-keys", "cover-enum-corner-past-print-range",
+            "boolean-frame-levels", "unknown-keys", "unknown-frame-keys",
+            "cover-enum-corner-past-print-range",
             "cover-enum-word-count-past-print-range",
             "ill-typed-int", "float-for-int", "word-for-int", "missing-config",
             "missing-subcommand", "unknown-flag", "unknown-command", "seeds-count-zero",

@@ -5,13 +5,14 @@ and no output depends on the environment."""
 import argparse
 import ast
 import inspect
+import json
 import re
 import textwrap
 from dataclasses import fields
 from pathlib import Path
 
 import rifs_lab
-from rifs_lab import cli
+from rifs_lab import cli, frame_from_doc, load_spec
 from rifs_lab.rifs import RIFSSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,3 +115,16 @@ def test_every_spec_field_is_read():
                    if p.name != "rifs.py")
     unread = [f.name for f in fields(RIFSSpec) if not re.search(rf"\.{f.name}\b", text)]
     assert unread == []
+
+
+def test_checked_in_configs_and_generated_frames_load(capsys):
+    # perfbench runs configs/counterexample_d{1,2}.json, so a key check that
+    # rejected a checked-in config or a `frame gen` document would fail it
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        load_spec(path.read_text(encoding="utf-8"))
+    for slack in ([], ["--slack", "2", "3"]):
+        assert cli.main(["frame", "gen", "--levels", "3", *slack]) == 0
+        doc = json.loads(capsys.readouterr().out)["frame"]
+        assert frame_from_doc(doc).to_doc() == doc
