@@ -182,11 +182,11 @@ def osc_check(corners: np.ndarray) -> bool:
 def box_exponents(
     profile: BranchProfile, depths: list[HybridNumber | int]
 ) -> list[tuple[HybridNumber | int, float]]:
-    """(m, d*B_m/m) per requested depth, via log2 space for large m.
+    """(m, d*B_m/m) per requested depth, one hybrid division each.
 
-    B_m <= m always, so the result is clamped into [0, d]; the clamp only
-    acts when log2 magnitudes are so large that their float ulp exceeds the
-    true gap.
+    Exact B_m and m divide once, correctly rounded, and B_m <= m keeps that
+    quotient in [0, d].  The clamp to d acts only on the log path, when log2
+    magnitudes are so large that their float ulp exceeds the true gap.
     """
     out = []
     for m in depths:
@@ -194,8 +194,7 @@ def box_exponents(
         if hm.is_zero:  # d*B_0/0 is 0/0
             raise CoverageError("depth must be >= 1")
         bm = profile.branch_count_at(hm)
-        e = 0.0 if bm.is_zero else profile.d * 2.0 ** (bm.log2 - hm.log2)
-        out.append((m, min(e, float(profile.d))))
+        out.append((m, min(bm.scale(profile.d) / hm, float(profile.d))))
     return out
 
 

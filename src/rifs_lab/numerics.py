@@ -45,15 +45,6 @@ def log2_int(n: int) -> float:
     return math.log2(top) + shift + 1
 
 
-def exp2_saturating(l2: float) -> float:
-    """2**l2 as a float, saturating to inf/0.0 outside machine range."""
-    if l2 >= 1024.0:
-        return math.inf
-    if l2 < -1100.0:
-        return 0.0
-    return 2.0 ** l2
-
-
 def log2_add(la: float, lb: float) -> float:
     """log2(2**la + 2**lb), max-shifted for stability.
 
@@ -132,12 +123,7 @@ class HybridNumber:
 
     def to_float(self) -> float:
         """Float image of the value; may be ``inf`` beyond float range."""
-        if self.exact is not None:
-            try:
-                return float(self.exact)
-            except OverflowError:
-                return math.inf
-        return 2.0 ** self.log2 if self.log2 < 1024 else math.inf
+        return self / ONE
 
     # -- arithmetic ----------------------------------------------------
 
@@ -203,6 +189,24 @@ class HybridNumber:
             return HybridNumber.from_int(self.exact * k)
         return HybridNumber.from_log2(self.log2 + math.log2(k))
 
+    def __truediv__(self, other: "HybridNumber") -> float:
+        """``self / other`` as a float: exact operands divide once, correctly
+        rounded, as ``int / int`` does; a promoted one through the log2
+        difference.  0/x is 0.0, x/0 is ``inf``, and past float range the
+        quotient saturates to ``inf`` or 0.0.
+        """
+        if self.is_zero:
+            return 0.0
+        if other.is_zero:
+            return math.inf
+        if self.exact is not None and other.exact is not None:
+            try:
+                return self.exact / other.exact
+            except OverflowError:
+                return math.inf
+        l2 = self.log2 - other.log2
+        return math.inf if l2 >= 1024.0 else 2.0 ** l2
+
     # -- ordering -------------------------------------------------------
 
     def _cmp(self, other: "HybridNumber") -> int:
@@ -241,6 +245,7 @@ class HybridNumber:
 
 
 ZERO = HybridNumber(0, -math.inf)
+ONE = HybridNumber(1, 0.0)
 
 
 def log_sum_exp2_values(log2_values: Iterable[float]) -> float:

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from . import sampler
 from .frame import Frame
-from .numerics import HybridNumber, ZERO, exp2_saturating
+from .numerics import HybridNumber, ZERO
 from .rifs import RIFSSpec
 from .sampler import RecordSequences
 
@@ -169,7 +169,8 @@ class SpecialTime:
 
     The record's own run adds only single-map steps up to m, so B_m is the
     branching total of the runs before the record.  ``ratio`` blowing up is
-    what crushes ``exponent``.
+    what crushes ``exponent``.  Its floats are hybrid quotients: correctly
+    rounded (``inf`` past float range) for exact operands, else via log2.
     """
 
     n: int                  # index into the record sequence, 1-based
@@ -180,13 +181,6 @@ class SpecialTime:
     exponent: float         # d*B_m/m
     ratio: float            # U_record/j_before; inf at the first record
     budget: float           # j_before/m
-
-
-def _log2_quotient(num: HybridNumber, den: HybridNumber) -> float:
-    """num/den as a float via log2 space; 0.0 for a zero numerator."""
-    if num.is_zero:
-        return 0.0
-    return 2.0 ** (num.log2 - den.log2)
 
 
 def special_times(profile: BranchProfile, seqs: RecordSequences) -> tuple[SpecialTime, ...]:
@@ -200,14 +194,11 @@ def special_times(profile: BranchProfile, seqs: RecordSequences) -> tuple[Specia
         if b > profile.run_count:
             raise CoverageError(f"profile has {profile.run_count} runs, record at {b}")
         run = profile.runs[b - 1]
-        j_before = run.j_start
-        m = j_before.add(run.flat_len)
-        ratio = (math.inf if j_before.is_zero
-                 else exp2_saturating(run.flat_len.log2 - j_before.log2))
+        m = run.j_start.add(run.flat_len)
         times.append(SpecialTime(
-            n=n, record_pos=b, record_symbol=run.symbol, j_before=j_before, m=m,
-            exponent=profile.d * _log2_quotient(run.branch_start, m),
-            ratio=ratio, budget=_log2_quotient(j_before, m)))
+            n=n, record_pos=b, record_symbol=run.symbol, j_before=run.j_start, m=m,
+            exponent=run.branch_start.scale(profile.d) / m,
+            ratio=run.flat_len / run.j_start, budget=run.j_start / m))
     return tuple(times)
 
 

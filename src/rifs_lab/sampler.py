@@ -197,9 +197,9 @@ class RecordSequences:
          strictly before it is strictly smaller;
       4. windows and positions are strictly increasing across pairs.
 
-    ``degenerate`` marks a prefix whose recursion stalled (repeated argmax or
-    a window outrunning the running maximum) before ``count`` pairs; the
-    returned pairs still satisfy all four clauses.  ``truncated`` marks a
+    ``degenerate`` marks a prefix whose recursion stalled before ``count``
+    pairs: the last record is still the first argmax of the next window.
+    The returned pairs still satisfy all four clauses.  ``truncated`` marks a
     window that outran the horizon.
     """
 
@@ -220,6 +220,12 @@ def record_sequences(path: SceneryPath, count: int) -> RecordSequences:
     that window stalls (``degenerate``) after one pair with probability
     sum_k p_k F(k)^k, which is 0.5912 for the inverse-square law
     (``tests/test_sampler.py`` checks the rate over 4000 seeds).
+
+    It stalls only on a repeated argmax, and clause 2 holds unchecked.  The
+    first value is >= 1, the first window.  After a record of value v (at
+    least its own window and position) the next window [1, v + 1] contains
+    it, so a first argmax past it is > v, at least the window; one before it
+    would lie in the last window, contradicting the record's first argmax.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -237,13 +243,12 @@ def record_sequences(path: SceneryPath, count: int) -> RecordSequences:
             break
         window = path.head(a)
         b = int(np.argmax(window)) + 1
-        value = int(window[b - 1])
-        if b <= prev_b or value < a:
+        if b <= prev_b:
             degenerate = True
             break
         pairs.append(RecordPair(window=a, position=b))
         prev_b = b
-        a = value + 1
+        a = int(window[b - 1]) + 1
     return RecordSequences(
         start=start, pairs=tuple(pairs), degenerate=degenerate, truncated=truncated
     )

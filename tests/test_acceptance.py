@@ -9,6 +9,7 @@ was frozen from an independent brute-force run (tests/data).
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,17 +109,33 @@ def test_criterion_4_lemma_property_suite():
     _report("4 lemma-property-suite", started, 30.0)
 
 
+def _rounded_quotient(num: int, den: int) -> float:
+    """num/den correctly rounded; inf past float max or for a zero den."""
+    if num == 0:
+        return 0.0
+    if den == 0:
+        return math.inf
+    try:
+        return float(Fraction(num, den))
+    except OverflowError:
+        return math.inf
+
+
 def test_criterion_5_subsequence_bound():
     started = time.perf_counter()
     spec = validate_spec(frame_family_doc(levels=5, d=1))
     times_checked = 0
     floors_checked = 0
+    quotients_checked = 0
     for seed in range(600, 700):
         run = run_seed(spec, seed, 10_000, 3)
         for st, t, chk in run.checks:
             # the budget recomputed from the time's raw fields
-            jb_over_m = (0.0 if st.j_before.is_zero
-                         else 2.0 ** (st.j_before.log2 - st.m.log2))
+            if st.j_before.is_exact and st.m.is_exact:
+                jb_over_m = float(Fraction(st.j_before.as_int(), st.m.as_int()))
+            else:
+                jb_over_m = (0.0 if st.j_before.is_zero
+                             else 2.0 ** (st.j_before.log2 - st.m.log2))
             assert chk.lhs <= -t * LN2 + jb_over_m * LN2 + 1e-12, (seed, st.n, t)
             assert chk.holds, (seed, st.n, t)
             times_checked += 1
@@ -126,8 +143,17 @@ def test_criterion_5_subsequence_bound():
             if st.n >= 2:
                 assert ratio_floor_holds(run.profile, st, spec.frame), (seed, st.n)
                 floors_checked += 1
+            run_at = run.profile.runs[st.record_pos - 1]
+            operands = (run_at.branch_start, run_at.flat_len, st.j_before, st.m)
+            if all(x.is_exact for x in operands):
+                b_m, u, j_before, m = (x.as_int() for x in operands)
+                assert st.exponent == _rounded_quotient(spec.d * b_m, m), (seed, st.n)
+                assert st.budget == _rounded_quotient(j_before, m), (seed, st.n)
+                assert st.ratio == _rounded_quotient(u, j_before), (seed, st.n)
+                quotients_checked += 1
     assert times_checked >= 300
     assert floors_checked >= 20
+    assert quotients_checked >= 100
     _report("5 subsequence-bound", started, 30.0)
 
 

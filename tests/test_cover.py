@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rifs_lab import HybridNumber, build_branch_profile, minimal_frame
 from rifs_lab.cover import (
@@ -232,6 +234,20 @@ class TestCoverSumIdentity:
             assert geometric == pytest.approx(symbolic, rel=1e-12)
 
 
+def _branch_count(levels: list[tuple[int, int]], m: int) -> int:
+    """B_m read off the (U, V) runs directly: U single-map steps, then V
+    branching steps per level."""
+    b = 0
+    for u, v in levels:
+        if m <= u:
+            return b
+        if m <= u + v:
+            return b + m - u
+        m -= u + v
+        b += v
+    raise ValueError("depth past the prefix")
+
+
 class TestBoxExponents:
     def test_alternating_path_exponent_half(self, frame5):
         profile = build_branch_profile([1] * 10, frame5, 1)
@@ -270,6 +286,26 @@ class TestBoxExponents:
         m = profile.runs[0].j_end
         [(_, e)] = box_exponents(profile, [m])
         assert e == pytest.approx(12.0 / 13.0, rel=1e-9)  # V/(U+V) at level 12
+
+    def test_exact_depths_are_correctly_rounded(self):
+        # `cover exponents --symbols 1,2 --d 1 --depths 3,6,9` on its default
+        # frame: B_m = 1, 1, 1 over m = 3, 6, 9, each divided once
+        profile = build_branch_profile((1, 2), minimal_frame(1), 1)
+        got = [repr(e) for _, e in box_exponents(profile, [3, 6, 9])]
+        assert got == ["0.3333333333333333", "0.16666666666666666", "0.1111111111111111"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(symbols=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+           d=st.integers(1, 3), data=st.data())
+    def test_every_exact_depth_is_the_rounded_fraction(self, symbols, d, data):
+        frame = minimal_frame(1)  # generated: levels 1..6 stay exact
+        levels = [(frame.entry(s).u.as_int(), frame.entry(s).v.as_int()) for s in symbols]
+        j_end = sum(u + v for u, v in levels)
+        depths = data.draw(st.lists(
+            st.one_of(st.integers(1, min(j_end, 64)), st.integers(1, j_end)), min_size=1))
+        profile = build_branch_profile(symbols, frame, d)
+        for m, e in box_exponents(profile, depths):
+            assert e == float(Fraction(d * _branch_count(levels, m), m)), (symbols, d, m)
 
     def test_astronomic_depth_clamped_into_range(self):
         # at level 30 the log2 ulp (~0.016) swamps the true gap; the clamp

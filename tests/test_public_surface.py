@@ -99,6 +99,20 @@ def test_library_reads_no_environment_variable():
     assert readers == []
 
 
+def test_only_numerics_divides_through_log2():
+    # one quotient rule: a `.log2 - .log2` elsewhere would be a second division
+    found = []
+    for path in sorted((ROOT / "src" / "rifs_lab").glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and all(isinstance(x, ast.Attribute) and x.attr == "log2"
+                            for x in (node.left, node.right))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_sample_output_ignores_the_environment(capsys, monkeypatch):
     argv = ["sample", "--seed", "0", "--horizon", "100"]
     assert cli.main(argv) == 0

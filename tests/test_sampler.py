@@ -402,6 +402,11 @@ class TestRecordSequences:
             seqs = record_sequences(path, 2)
             completed += 1
             stalled += seqs.degenerate and len(seqs.pairs) == 1
+            if seqs.degenerate:
+                # the one stop: the last record is the next window's first argmax
+                last = seqs.pairs[-1].position
+                window = path.head(int(path.head(last)[-1]) + 1)
+                assert int(np.argmax(window)) + 1 == last, seed
         assert rare < 100
         sd = math.sqrt(law * (1 - law) / completed)
         assert abs(stalled / completed - law) <= 4 * sd, (stalled, completed, rare)
